@@ -9,7 +9,8 @@ projections of the same data. All file writes are atomic
 (write-temp-then-rename).
 
 Exit codes: 0 success; 2 usage or configuration error; 3 input/validation
-error; 4 numerical or estimation error. On failure a machine-readable
+error, including a file that cannot be read or written; 4 numerical or
+estimation error. On failure a machine-readable
 ``{"error": {"code", "message"}}`` document is printed to stderr.
 """
 
@@ -326,13 +327,21 @@ _COMMON_DEFAULTS = {
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _env_workers() -> int:
+    raw = os.environ.get("UMLR_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInputError(f"UMLR_WORKERS must be an integer, got {raw!r}") from None
+
+
 def _cmd_simulate(args) -> dict:
     defaults = dict(_COMMON_DEFAULTS)
     defaults.update({
         "n": 1000, "p": 200, "s": 10, "sigma": 1.0, "mu1": 2.0, "mu0": 0.0,
         "beta_scale": 0.5, "gamma_scale": 0.5, "effect_scale": 0.5,
         "confound_sign": -1.0, "reps": 100,
-        "workers": int(os.environ.get("UMLR_WORKERS", "1")),
+        "workers": _env_workers(),
     })
     cfg = _merge_config(args, defaults)
     dgp = DgpConfig(
@@ -454,6 +463,7 @@ def _cmd_estimate(args) -> dict:
 
 def _point_closure_cli(name, mode, learner, cfg, prop, route):
     l2 = cfg["propensity_l2"]
+    clip = (cfg["clip_lo"], cfg["clip_hi"])
 
     def closure(d):
         if name == "t_learner":
@@ -461,14 +471,14 @@ def _point_closure_cli(name, mode, learner, cfg, prop, route):
         if name == "s_learner":
             return s_learner(d, learner, mode, route, with_diagnostics=False)[1].point
         if name == "x_learner":
-            pr = fit_propensity(d.X, d.t, l2=l2)
+            pr = fit_propensity(d.X, d.t, l2=l2, clip=clip)
             return x_learner(d, learner, mode, pr, route, with_diagnostics=False).point
         if name == "aipw":
             m0, m1, _ = t_learner(d, learner, mode, route, with_diagnostics=False)
-            pr = fit_propensity(d.X, d.t, l2=l2)
+            pr = fit_propensity(d.X, d.t, l2=l2, clip=clip)
             return aipw(d, m0, m1, pr, mode=mode).point
         if name == "psm_att":
-            pr = fit_propensity(d.X, d.t, l2=l2)
+            pr = fit_propensity(d.X, d.t, l2=l2, clip=clip)
             return psm_att(d, pr, caliper=cfg["caliper"]).point
         raise InvalidInputError(name)
 
@@ -521,19 +531,20 @@ def main(argv=None) -> int:
             report = _cmd_estimate(args)
         else:
             report = _cmd_diagnose(args)
+        _write_report(getattr(args, "out", None), report)
     except (InvalidInputError, CsvParseError) as exc:
-        _fail(exc)
-        return 3
+        return _fail(exc.code, exc, 3)
+    except OSError as exc:  # unreadable input or unwritable output path
+        return _fail("io_error", exc, 3)
     except UmlrError as exc:
-        _fail(exc)
-        return 4
-    _write_report(getattr(args, "out", None), report)
+        return _fail(exc.code, exc, 4)
     return 0
 
 
-def _fail(exc: UmlrError):
-    doc = {"schema": SCHEMA, "error": {"code": exc.code, "message": str(exc)}}
+def _fail(code: str, exc: Exception, exit_code: int) -> int:
+    doc = {"schema": SCHEMA, "error": {"code": code, "message": str(exc)}}
     sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -150,18 +150,21 @@ def partition_by_mean(y) -> SplitIndices:
 
     Ties at the mean go to r1. Computed on the outcome as given; centering
     shifts values and cut-off equally, so the partition is identical either
-    way. Raises :class:`DegeneratePartitionError` when r2 is empty (constant
-    outcome): the two anchoring constraints would collapse into one and
-    constrained fitting must not proceed.
+    way. Raises :class:`DegeneratePartitionError` when either group is empty
+    (a constant outcome, whichever way its mean rounds): the two anchoring
+    constraints would collapse into one and constrained fitting must not
+    proceed.
     """
     y = _as_float_array(y, "y", 1)
     if y.size == 0:
         raise InvalidInputError("y must be nonempty")
     mean = np.mean(y)
     below = y <= mean
-    r2 = np.flatnonzero(~below)
-    if r2.size == 0:
+    r1, r2 = np.flatnonzero(below), np.flatnonzero(~below)
+    if r1.size == 0 or r2.size == 0:
+        empty = "below" if r1.size == 0 else "above"
         raise DegeneratePartitionError(
-            "all outcomes at or below their mean; cannot form an above-mean group"
+            f"{empty}-mean outcome group is empty (mean {mean!r}); "
+            "cannot form two anchoring groups"
         )
-    return SplitIndices(np.flatnonzero(below), r2, n=y.size)
+    return SplitIndices(r1, r2, n=y.size)

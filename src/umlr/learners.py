@@ -261,34 +261,52 @@ def _fit_lasso(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
                        coef=coef, intercept=float(intercept))
 
 
-def _best_split(Xn: np.ndarray, rn: np.ndarray, min_leaf: int):
-    """Exact greedy split over all features; returns (feature, threshold) or None."""
-    m = Xn.shape[0]
+def _best_split(xs: np.ndarray, rs: np.ndarray, min_leaf: int):
+    """Exact greedy split of one node; returns (feature, threshold) or None.
+
+    ``xs`` and ``rs`` are (p, m): row j holds the node's values of feature j
+    and their residuals in stable ascending order of that feature. Among
+    equal scores the first candidate in (position, feature) order wins.
+    """
+    p, m = xs.shape
     if m < 2 * min_leaf:
         return None
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    rs = rn[order]
-    cs = np.cumsum(rs, axis=0)
-    total = cs[-1]
-    left = cs[:-1]
-    k = np.arange(1, m, dtype=float)[:, None]
+    cs = np.cumsum(rs, axis=1)
+    total = cs[:, -1:]
+    # a cut after sorted position i leaves k = i + 1 rows on the left; only
+    # positions with min_leaf <= k <= m - min_leaf are candidates
+    lo, hi = min_leaf - 1, m - min_leaf
+    left = cs[:, lo:hi]
+    k = np.arange(min_leaf, hi + 1, dtype=float)
     with np.errstate(invalid="ignore"):
         score = left**2 / k + (total - left) ** 2 / (m - k)
-    valid = (k >= min_leaf) & (m - k >= min_leaf) & (xs[1:] > xs[:-1])
+    valid = xs[:, lo + 1 : hi + 1] > xs[:, lo:hi]
     if not np.any(valid):
         return None
     score = np.where(valid, score, -np.inf)
-    flat = int(np.argmax(score))
-    i, j = divmod(flat, Xn.shape[1])
-    gain = score[i, j] - (total[j] ** 2) / m
+    i, j = divmod(int(np.argmax(score.T)), p)
+    gain = score[j, i] - (total[j, 0] ** 2) / m
     if gain <= 0.0:
         return None
-    thr = 0.5 * (xs[i, j] + xs[i + 1, j])
+    i += lo
+    thr = 0.5 * (xs[j, i] + xs[j, i + 1])
     return j, float(thr)
 
 
-def _grow_tree(X: np.ndarray, r: np.ndarray, max_depth: int, min_leaf: int) -> _Tree:
+def _grow_tree(X: np.ndarray, order: np.ndarray, xs: np.ndarray, r: np.ndarray,
+               pred: np.ndarray, config: LearnerConfig) -> _Tree:
+    """Grow one tree on residuals ``r`` and add its scaled leaf values to
+    ``pred`` in place.
+
+    ``order`` (p, n) holds every column's stable argsort and ``xs`` the
+    matching sorted values. Each node carries its rows in increasing order
+    and its slice of ``order``/``xs``; a split partitions them with a row
+    mask, which keeps every column sorted with ties in row order, so no node
+    sorts again.
+    """
+    max_depth, min_leaf, lr = config.max_depth, config.min_leaf, config.learning_rate
+    p = X.shape[1]
+    in_left = np.zeros(X.shape[0], dtype=bool)
     feature, threshold, left, right, value = [], [], [], [], []
 
     def add_node():
@@ -299,21 +317,30 @@ def _grow_tree(X: np.ndarray, r: np.ndarray, max_depth: int, min_leaf: int) -> _
         value.append(0.0)
         return len(feature) - 1
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, idx, xv, depth: int) -> int:
+        # idx/xv are None for a node too deep or too small to split
         node = add_node()
-        split = _best_split(X[rows], r[rows], min_leaf) if depth < max_depth else None
+        split = None if idx is None else _best_split(xv, r[idx], min_leaf)
         if split is None:
-            value[node] = float(r[rows].mean())
+            leaf = float(r[rows].mean())
+            value[node] = leaf
+            pred[rows] += lr * leaf
             return node
         j, thr = split
         go_left = X[rows, j] <= thr
         feature[node] = j
         threshold[node] = thr
-        left[node] = build(rows[go_left], depth + 1)
-        right[node] = build(rows[~go_left], depth + 1)
+        in_left[rows] = go_left
+        sel = in_left[idx]
+        for links, keep, cols in ((left, go_left, sel), (right, ~go_left, ~sel)):
+            sub, sub_idx, sub_xv = rows[keep], None, None
+            if depth + 1 < max_depth and sub.size >= 2 * min_leaf:
+                pos = np.flatnonzero(cols)  # same order as boolean indexing, faster
+                sub_idx, sub_xv = idx.take(pos).reshape(p, -1), xv.take(pos).reshape(p, -1)
+            links[node] = build(sub, sub_idx, sub_xv, depth + 1)
         return node
 
-    build(np.arange(X.shape[0]), 0)
+    build(np.arange(X.shape[0]), order, xs, 0)
     return _Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold),
@@ -325,15 +352,15 @@ def _grow_tree(X: np.ndarray, r: np.ndarray, max_depth: int, min_leaf: int) -> _
 
 def _fit_gbt(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedModel:
     n, p = X.shape
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    xs = X[order, np.arange(p)[:, None]]
     init = float(y.mean())
     pred = np.full(n, init)
     trees = []
     mse_path = []
     for _ in range(config.n_trees):
         resid = y - pred
-        tree = _grow_tree(X, resid, config.max_depth, config.min_leaf)
-        pred += config.learning_rate * tree.predict(X)
-        trees.append(tree)
+        trees.append(_grow_tree(X, order, xs, resid, pred, config))
         mse_path.append(float(np.mean((y - pred) ** 2)))
     return FittedModel(config=config, mode="mlr", p=p, n_train=n,
                        trees=tuple(trees), init_value=init,

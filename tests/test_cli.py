@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,15 +10,25 @@ from umlr.cli import load_config_file, load_csv, main
 from umlr.errors import CsvParseError
 
 
-def run_cli(args):
+def run_cli(args, env=None):
     return subprocess.run([sys.executable, "-m", "umlr", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
 
 
-def write_cohort(path, n=160, p=3, effect=1.5, seed=5):
+def assert_contract_error(r, code):
+    """Exit 3 with a one-line JSON error document and no traceback."""
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == code
+
+
+def write_cohort(path, n=160, p=3, effect=1.5, seed=5, confounding=0.0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
-    t = (rng.random(n) < 0.5).astype(int)
+    t = (rng.random(n) < 1.0 / (1.0 + np.exp(-confounding * X[:, 0]))).astype(int)
     y = effect * t + X[:, 0] + 0.5 * rng.standard_normal(n)
     cols = ["y", "t"] + [f"x{j}" for j in range(1, p + 1)]
     with open(path, "w") as fh:
@@ -138,6 +149,13 @@ class TestSimulateCommand:
         assert lines[0].startswith("rep,estimator,mode,true_ate,point")
         assert len(lines) == 11
 
+    def test_non_integer_workers_env_exits_3(self, tmp_path):
+        r = run_cli(["simulate", "--n", "100", "--p", "4", "--s", "2", "--reps", "10",
+                     "--bootstrap", "0", "--out", str(tmp_path / "r.json")],
+                    env={"UMLR_WORKERS": "two"})
+        assert_contract_error(r, "invalid_input")
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestEstimateCommand:
     def test_rows_and_att_tagging(self, tmp_path):
@@ -182,6 +200,36 @@ class TestEstimateCommand:
         assert r.returncode == 3
         err = json.loads(r.stderr)
         assert err["error"]["code"] == "csv_parse"
+
+    def test_missing_data_file_exits_3(self, tmp_path):
+        r = run_cli(["estimate", "--data", str(tmp_path / "absent.csv"),
+                     "--estimator", "t", "--bootstrap", "0"])
+        assert_contract_error(r, "io_error")
+
+    def test_unwritable_out_path_exits_3(self, tmp_path):
+        data = write_cohort(tmp_path / "cohort.csv", n=60)
+        r = run_cli(["estimate", "--data", str(data), "--estimator", "t",
+                     "--mode", "mlr", "--bootstrap", "0",
+                     "--out", str(tmp_path / "no-such-dir" / "est.json")])
+        assert_contract_error(r, "io_error")
+
+    def test_bootstrap_refits_apply_propensity_clip(self, tmp_path):
+        # confounded cohort whose fitted propensities reach past 0.2 / 0.8:
+        # narrowing the clip must reach the bootstrap refits, not only the
+        # point estimate, so the interval width moves with it
+        data = write_cohort(tmp_path / "cohort.csv", n=120, seed=3, confounding=2.5)
+        widths = []
+        for lo, hi in (("0.01", "0.99"), ("0.2", "0.8")):
+            out = tmp_path / f"est-{lo}.json"
+            rc = main(["estimate", "--data", str(data), "--estimator", "aipw,psm",
+                       "--mode", "mlr", "--bootstrap", "50", "--lam", "1.0",
+                       "--clip-lo", lo, "--clip-hi", hi, "--out", str(out)])
+            assert rc == 0
+            rows = json.loads(out.read_text())["results"]
+            widths.append({row["estimator"]: row["ci_high"] - row["ci_low"]
+                           for row in rows})
+        for name in ("aipw", "psm_att"):
+            assert abs(widths[0][name] - widths[1][name]) > 1e-3 * widths[0][name]
 
 
 class TestDiagnoseCommand:

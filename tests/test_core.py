@@ -109,6 +109,14 @@ class TestPartitionByMean:
         with pytest.raises(DegeneratePartitionError):
             partition_by_mean([4.0, 4.0, 4.0])
 
+    def test_constant_outcome_mean_rounded_below(self):
+        # np.mean of three copies of this value rounds below it, so every
+        # unit lands above the mean and the below-mean group is empty
+        y = [2.2068590078355802e-38] * 3
+        assert np.mean(y) < y[0]
+        with pytest.raises(DegeneratePartitionError):
+            partition_by_mean(y)
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=80))
     def test_partition_invariants(self, values):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,86 @@ class TestGbt:
         tree = m.trees[0]
         assert tree.feature[0] == 0
         assert 2.0 <= tree.threshold[0] <= 3.0
+
+
+def gbt_digest(model) -> str:
+    """sha256 over every tree's arrays and the training-loss path."""
+    h = hashlib.sha256()
+    for tree in model.trees:
+        h.update(np.ascontiguousarray(tree.feature, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(tree.threshold, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(tree.left, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(tree.right, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(tree.value, dtype=np.float64).tobytes())
+    h.update(np.asarray(model.train_mse_path, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _golden_continuous():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((150, 6))
+    y = X[:, 0] - 0.5 * X[:, 1] ** 2 + 0.3 * rng.standard_normal(150)
+    cfg = LearnerConfig(kind="gbt", n_trees=40, max_depth=3, learning_rate=0.1,
+                        min_leaf=5)
+    return cfg, X, y
+
+
+def _golden_ties():
+    # X rounded to 0.1 so most split candidates sit inside runs of equal
+    # values; column 3 duplicates column 1 and column 4 is a monotone copy,
+    # so equal best scores across features exercise the tie-break order
+    rng = np.random.default_rng(12)
+    X = np.round(rng.standard_normal((200, 5)), 1)
+    X[:, 3] = X[:, 1]
+    X[:, 4] = 2.0 * X[:, 1] + 1.0
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] + 0.2 * rng.standard_normal(200)
+    cfg = LearnerConfig(kind="gbt", n_trees=40, max_depth=3, learning_rate=0.2,
+                        min_leaf=4)
+    return cfg, X, y
+
+
+def _golden_min_leaf_bound():
+    # deep trees on few rows: most nodes are too small to split
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((45, 3))
+    y = X[:, 2] + 0.5 * rng.standard_normal(45)
+    cfg = LearnerConfig(kind="gbt", n_trees=25, max_depth=5, learning_rate=0.3,
+                        min_leaf=8)
+    return cfg, X, y
+
+
+# Pinned digests of exact greedy trees (stable tie order, first best split
+# in (row, feature) order); any change to a split, threshold, leaf value or
+# loss value changes them.
+GBT_GOLDEN = {
+    "continuous": (
+        _golden_continuous,
+        "09d4215322017e861711b2d82e323d852000e0b0a97c4b3a94d387a707f139d4",
+    ),
+    "ties": (
+        _golden_ties,
+        "946184d03ea3c827cf173ae35ee3e17ef3ea75869c6b093f9a4e8c8faa6daa6d",
+    ),
+    "min_leaf_bound": (
+        _golden_min_leaf_bound,
+        "dc0e25b5a15ae5eb88e0e714172ffdbb8c3dbaf006c818f09bb42183a44b9c8d",
+    ),
+}
+
+
+class TestGbtGolden:
+    @pytest.mark.parametrize("case", sorted(GBT_GOLDEN))
+    def test_trees_bit_identical(self, case):
+        make, expected = GBT_GOLDEN[case]
+        cfg, X, y = make()
+        m = fit(cfg, X, y)
+        assert gbt_digest(m) == expected
+
+    @pytest.mark.parametrize("case", sorted(GBT_GOLDEN))
+    def test_loss_path_matches_routing(self, case):
+        cfg, X, y = GBT_GOLDEN[case][0]()
+        m = fit(cfg, X, y)
+        assert m.train_mse_path[-1] == float(np.mean((y - m.predict(X)) ** 2))
 
 
 class TestPredict:
