@@ -255,15 +255,13 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         for key, raw in file_cfg.items():
             if key not in defaults:
                 raise InvalidInputError(f"unknown config key {key!r}")
-            template = defaults[key]
-            if isinstance(template, bool):
-                resolved[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(template, int):
-                resolved[key] = int(raw)
-            elif isinstance(template, float):
-                resolved[key] = float(raw)
-            else:
-                resolved[key] = raw
+            kind = type(defaults[key])  # int, float or str
+            try:
+                resolved[key] = kind(raw)
+            except ValueError:
+                raise InvalidInputError(
+                    f"config key {key!r} must be {kind.__name__}, got {raw!r}"
+                ) from None
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -358,7 +356,8 @@ def _cmd_simulate(args) -> dict:
         dgp, learner, scenario, reps=cfg["reps"], B=cfg["bootstrap"],
         level=cfg["level"], propensity_l2=cfg["propensity_l2"], folds=cfg["folds"],
         workers=cfg["workers"], umlr_route=cfg["umlr_route"],
-        ci_method=cfg["ci_method"], collect_slopes=True, return_records=True,
+        ci_method=cfg["ci_method"], clip=(cfg["clip_lo"], cfg["clip_hi"]),
+        collect_slopes=True, return_records=True,
     )
     warnings = [
         f"{s.estimator}/{s.mode}: {s.n_failed} of {s.reps} replicates failed"

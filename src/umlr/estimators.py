@@ -95,6 +95,13 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_clip(clip) -> None:
+    """Reject propensity clipping bounds outside 0 < lo < hi < 1."""
+    lo, hi = clip
+    if not 0 < lo < hi < 1:
+        raise InvalidInputError("clip bounds must satisfy 0 < lo < hi < 1")
+
+
 @dataclass(frozen=True)
 class PropensityModel:
     """L2-penalized logistic model of treatment given covariates."""
@@ -104,9 +111,7 @@ class PropensityModel:
     clip: tuple[float, float] = DEFAULT_CLIP
 
     def __post_init__(self):
-        lo, hi = self.clip
-        if not 0 < lo < hi < 1:
-            raise InvalidInputError("clip bounds must satisfy 0 < lo < hi < 1")
+        check_clip(self.clip)
 
     def logit(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

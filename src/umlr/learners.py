@@ -217,20 +217,31 @@ def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
                        coef=coef, intercept=float(intercept))
 
 
-def _lasso_sweep(Xc, yc, coef, resid, col_msq, lam, active=None):
-    """One pass of cyclic coordinate descent; returns max |coef update|."""
-    n = yc.shape[0]
+def _soft_threshold(z: float, lam: float) -> float:
+    if z > lam:
+        return z - lam
+    if z < -lam:
+        return z + lam
+    return 0.0
+
+
+def _lasso_sweep(cols, coef, resid, col_msq, lam, active=None):
+    """One pass of cyclic coordinate descent; returns max |coef update|.
+
+    ``cols`` holds the centered columns as strided views of ``Xc`` (a
+    contiguous copy would change the summation order of the dot products)
+    and ``col_msq`` their mean squares as Python floats.
+    """
+    n = resid.shape[0]
     max_delta = 0.0
-    cols = range(coef.shape[0]) if active is None else active
-    for j in cols:
+    for j in range(len(cols)) if active is None else active:
         cj = col_msq[j]
         if cj == 0.0:
             continue
         old = coef[j]
-        rho = (Xc[:, j] @ resid) / n + cj * old
-        new = np.sign(rho) * max(abs(rho) - lam, 0.0) / cj
+        new = _soft_threshold((cols[j] @ resid) / n + cj * old, lam) / cj
         if new != old:
-            resid -= Xc[:, j] * (new - old)
+            resid -= cols[j] * (new - old)
             coef[j] = new
             max_delta = max(max_delta, abs(new - old))
     return max_delta
@@ -241,18 +252,18 @@ def _fit_lasso(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
-    yc = y - y_mean
-    col_msq = (Xc * Xc).mean(axis=0)
+    cols = list(Xc.T)
+    col_msq = (Xc * Xc).mean(axis=0).tolist()
     coef = np.zeros(p)
-    resid = yc.copy()
+    resid = y - y_mean
     for _ in range(config.lasso_max_sweeps):
-        delta = _lasso_sweep(Xc, yc, coef, resid, col_msq, config.lam)
+        delta = _lasso_sweep(cols, coef, resid, col_msq, config.lam)
         if delta < LASSO_COEF_TOL:
             break
         # cheap inner loop over the current active set before the next full sweep
         active = np.flatnonzero(coef).tolist()
         for _ in range(config.lasso_max_sweeps):
-            if _lasso_sweep(Xc, yc, coef, resid, col_msq, config.lam, active) < LASSO_COEF_TOL:
+            if _lasso_sweep(cols, coef, resid, col_msq, config.lam, active) < LASSO_COEF_TOL:
                 break
     else:
         raise ConvergenceError("lasso coordinate descent did not converge")
@@ -418,13 +429,14 @@ def anchor_recalibrate(base: FittedModel, X_train, y_train, split: SplitIndices)
     """
     X_train, y_train = _validate_xy(X_train, y_train)
     _check_split(split, y_train.shape[0])
-    base_pred = base.predict(X_train)
-    a, b = _solve_anchor(split, base_pred, y_train)
-    if base.anchor is not None:  # compose affine layers into one
+    raw = replace(base, anchor=None).predict(X_train)  # routes the rows once
+    if base.anchor is None:
+        a, b = _solve_anchor(split, raw, y_train)
+    else:  # solve on the anchored predictions, then compose both layers into one
         a0, b0 = base.anchor
+        a, b = _solve_anchor(split, a0 + b0 * raw, y_train)
         a, b = a + b * a0, b * b0
-    anchored = replace(base, anchor=None)
-    new_pred = a + b * anchored._base_predict(X_train)
+    new_pred = a + b * raw
     sums = _group_sums(split, new_pred, y_train)
     tol_scale = GBT_GROUP_TOL if base.trees is not None else LINEAR_GROUP_TOL
     tol = tol_scale * y_train.shape[0] * max(float(np.std(y_train)), 1e-300)
@@ -478,52 +490,66 @@ def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
     coefficients and the following sweep pulls them straight back. Folding
     the constraints into the swept objective (method of multipliers) removes
     the cycle while keeping every update a soft-threshold step.
+
+    Within a sweep the constraint violations v_g = a + mean_g(Xb) - ybar_g
+    are running scalars (a step d on coef j moves v_g by M[g, j] * d); they
+    are recomputed exactly from the residuals after every sweep, and only
+    those exact values feed the multipliers and the stopping rule.
     """
     n, p = X.shape
     lam = config.lam
     groups = (split.r1, split.r2)
-    n_g = np.array([g.size for g in groups], dtype=float)
-    ybar_g = np.array([y[g].mean() for g in groups])
     M = np.stack([X[g].mean(axis=0) for g in groups])  # (2, p) group means
+    m0, m1 = M[0].tolist(), M[1].tolist()
+    m_sq = M[0] ** 2 + M[1] ** 2
     xj_sq = (X * X).sum(axis=0) / n
+    xsq = xj_sq.tolist()
+    cols = list(X.T)
     tol = LINEAR_GROUP_TOL * n * max(float(np.std(y)), 1e-300)
-    mean_tol = tol / n_g.max()  # per-group mean residual scale
+    mean_tol = tol / max(g.size for g in groups)  # per-group mean residual scale
 
     start = _fit_lasso(config, X, y)
-    coef = start.coef.copy()
+    coef = start.coef.tolist()
     intercept = float(start.intercept)
-    u = np.zeros(2)
+    u0 = u1 = 0.0
     rho = 1.0
-    resid = y - intercept - X @ coef
+    resid = y - intercept - X @ start.coef
+    v0, v1 = (-float(resid[g].mean()) for g in groups)
     prev_feas = np.inf
 
     for sweep in range(config.lasso_max_sweeps):
         # intercept: unpenalized, closed form over loss + constraint terms
-        rbar = np.array([resid[g].mean() for g in groups])  # ybar - a - mean(Xb)
-        viol = -rbar  # constraint residual means: a + mean_g(Xb) - ybar_g
-        new_a = intercept + (resid.mean() - u.sum() - rho * viol.sum()) / (1.0 + 2.0 * rho)
-        resid -= new_a - intercept
+        grad = float(resid.mean()) - (u0 + u1) - rho * (v0 + v1)
+        new_a = intercept + grad / (1.0 + 2.0 * rho)
+        step = new_a - intercept
+        resid -= step
         intercept = new_a
+        v0 += step
+        v1 += step
 
+        curv = (xj_sq + rho * m_sq).tolist()
         max_delta = 0.0
         for j in range(p):
-            cj = xj_sq[j] + rho * float(M[0, j] ** 2 + M[1, j] ** 2)
+            cj = curv[j]
             if cj == 0.0:
                 continue
             old = coef[j]
-            rho_j = (X[:, j] @ resid) / n + xj_sq[j] * old
-            viol_now = np.array([-(resid[g].mean()) for g in groups])
-            viol_wo = viol_now - M[:, j] * old
-            z = rho_j - float(M[:, j] @ (u + rho * viol_wo))
-            new = np.sign(z) * max(abs(z) - lam, 0.0) / cj
+            a0, a1 = m0[j], m1[j]
+            z = (float(cols[j] @ resid) / n + xsq[j] * old
+                 - (a0 * (u0 + rho * (v0 - a0 * old)) + a1 * (u1 + rho * (v1 - a1 * old))))
+            new = _soft_threshold(z, lam) / cj
             if new != old:
-                resid -= X[:, j] * (new - old)
+                d = new - old
+                resid -= cols[j] * d
                 coef[j] = new
-                max_delta = max(max_delta, abs(new - old))
+                v0 += a0 * d
+                v1 += a1 * d
+                max_delta = max(max_delta, abs(d))
 
-        viol = np.array([-(resid[g].mean()) for g in groups])
-        u += rho * viol
-        feas = float(np.max(np.abs(viol)))
+        v0, v1 = (-float(resid[g].mean()) for g in groups)
+        u0 += rho * v0
+        u1 += rho * v1
+        feas = max(abs(v0), abs(v1))
         if max_delta < LASSO_COEF_TOL and feas <= mean_tol:
             break
         if sweep % 10 == 9:
@@ -533,6 +559,7 @@ def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
     else:
         raise ConvergenceError("constrained lasso did not converge")
 
+    coef = np.asarray(coef)
     pred = intercept + X @ coef
     a, b = _solve_anchor(split, pred, y)  # exact feasibility finish
     intercept = a + b * intercept
@@ -548,8 +575,8 @@ def fit_constrained_linear(config: LearnerConfig, X, y, split: SplitIndices) -> 
     """Fit ridge or lasso subject to both anchoring constraints (umlr mode).
 
     Ridge solves the equality-constrained quadratic program exactly via its
-    KKT system; lasso alternates coordinate-descent sweeps with exact affine
-    projections onto the constraint set.
+    KKT system; lasso runs method-of-multipliers coordinate descent and
+    finishes with one exact affine projection onto the constraint set.
     """
     if config.kind not in ("ridge", "lasso"):
         raise InvalidInputError("constrained fitting applies to linear kinds; use "

@@ -27,8 +27,10 @@ from .core import Dataset, partition_by_mean
 from .diagnostics import BiasInputs, counterfactual_slopes, shrinkage_ate_bias
 from .errors import InvalidInputError, UmlrError
 from .estimators import (
+    DEFAULT_CLIP,
     aipw,
     bootstrap_ci,
+    check_clip,
     dml,
     fit_propensity,
     outcome_regression_ate,
@@ -236,7 +238,7 @@ class McSummary:
 
 
 def _point_closure(name: str, mode: str, learner: LearnerConfig,
-                   propensity_l2: float, folds: int, umlr_route: str):
+                   propensity_l2: float, folds: int, umlr_route: str, clip):
     if name == "t_learner":
         return lambda d: t_learner(d, learner, mode, umlr_route,
                                    with_diagnostics=False)[2].point
@@ -245,7 +247,7 @@ def _point_closure(name: str, mode: str, learner: LearnerConfig,
                                    with_diagnostics=False)[1].point
     if name == "x_learner":
         def _x(d):
-            prop = fit_propensity(d.X, d.t, l2=propensity_l2)
+            prop = fit_propensity(d.X, d.t, l2=propensity_l2, clip=clip)
             return x_learner(d, learner, mode, prop, umlr_route,
                              with_diagnostics=False).point
         return _x
@@ -253,12 +255,12 @@ def _point_closure(name: str, mode: str, learner: LearnerConfig,
         def _a(d):
             m0, m1, _ = t_learner(d, learner, mode, umlr_route,
                                   with_diagnostics=False)
-            prop = fit_propensity(d.X, d.t, l2=propensity_l2)
+            prop = fit_propensity(d.X, d.t, l2=propensity_l2, clip=clip)
             return aipw(d, m0, m1, prop, mode=mode).point
         return _a
     if name == "psm_att":
         def _p(d):
-            prop = fit_propensity(d.X, d.t, l2=propensity_l2)
+            prop = fit_propensity(d.X, d.t, l2=propensity_l2, clip=clip)
             return psm_att(d, prop).point
         return _p
     raise InvalidInputError(f"unknown estimator {name!r}")
@@ -266,7 +268,7 @@ def _point_closure(name: str, mode: str, learner: LearnerConfig,
 
 def _replicate_task(dgp: DgpConfig, learner: LearnerConfig, scenario, r: int,
                     B: int, level: float, propensity_l2: float, folds: int,
-                    collect_slopes: bool, umlr_route: str, ci_method: str):
+                    collect_slopes: bool, umlr_route: str, ci_method: str, clip):
     rep = generate_replicate(dgp, r)
     out = []
     for k, (name, mode) in enumerate(scenario):
@@ -276,12 +278,12 @@ def _replicate_task(dgp: DgpConfig, learner: LearnerConfig, scenario, r: int,
         try:
             if name == "dml":
                 est = dml(rep.data, learner, mode, folds=folds, l2=propensity_l2,
-                          level=level, umlr_route=umlr_route)
+                          clip=clip, level=level, umlr_route=umlr_route)
                 row["point"] = est.point
                 row["ci_low"], row["ci_high"] = est.ci_low, est.ci_high
             else:
                 closure = _point_closure(name, mode, learner, propensity_l2, folds,
-                                         umlr_route)
+                                         umlr_route, clip)
                 if collect_slopes and name == "t_learner":
                     m0, m1, est = t_learner(rep.data, learner, mode, umlr_route)
                     row["point"] = est.point
@@ -313,7 +315,7 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
                     propensity_l2: float = 1.0, folds: int = 5,
                     workers: int = 1, collect_slopes: bool = False,
                     return_records: bool = False, umlr_route: str = "auto",
-                    ci_method: str = "normal"):
+                    ci_method: str = "normal", clip=DEFAULT_CLIP):
     """Generate-fit-estimate loop over ``reps`` replicates.
 
     ``scenario`` is a list of (estimator_name, mode) pairs evaluated on the
@@ -321,7 +323,8 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     worker threads; per-replicate seeds are derived from (seed, index) and
     aggregation runs in index order, so results are identical for any
     ``workers`` value. Set ``B = 0`` to skip bootstrap intervals (DML keeps
-    its analytic interval).
+    its analytic interval). ``clip`` bounds every fitted propensity score,
+    in the point estimates and in the bootstrap refits alike.
 
     Intervals default to the normal-approximation bootstrap
     (``ci_method="normal"``): regularized fits grow extra shrinkage bias
@@ -331,6 +334,7 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     """
     if reps < 10:
         raise InvalidInputError("need reps >= 10")
+    check_clip(clip)
     scenario = [tuple(sc) for sc in scenario]
     for name, mode in scenario:
         if name not in ESTIMATOR_NAMES:
@@ -340,7 +344,7 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
 
     task = lambda r: _replicate_task(dgp, learner, scenario, r, B, level,
                                      propensity_l2, folds, collect_slopes,
-                                     umlr_route, ci_method)
+                                     umlr_route, ci_method, clip)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(task, range(reps)))

@@ -118,6 +118,17 @@ class TestConfigFile:
         assert rep["config"]["n"] == 100  # flag wins
         assert rep["config"]["reps"] == 10  # file wins over default
 
+    @pytest.mark.parametrize("line", ["n = abc", "lam = 1,5"])
+    def test_unconvertible_value_exits_3(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        r = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert_contract_error(r, "invalid_input")
+        key, raw = (s.strip() for s in line.split("="))
+        message = json.loads(r.stderr)["error"]["message"]
+        assert repr(key) in message and repr(raw) in message
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestSimulateCommand:
     def test_report_schema_and_determinism(self, tmp_path):

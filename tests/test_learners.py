@@ -92,6 +92,103 @@ class TestLasso:
             fit(LearnerConfig(kind="lasso", lam=1e-6, lasso_max_sweeps=1), X, y)
 
 
+def _lasso_n_gt_p():
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((80, 10))
+    y = X[:, :3] @ np.array([1.5, -1.0, 0.5]) + 0.5 * rng.standard_normal(80)
+    return X, y, 0.05
+
+
+def _lasso_p_gt_n():
+    rng = np.random.default_rng(32)
+    X = rng.standard_normal((24, 40))
+    y = X[:, :4] @ np.array([2.0, -1.5, 1.0, 0.5]) + 0.3 * rng.standard_normal(24)
+    return X, y, 0.15
+
+
+def _lasso_constant_column():
+    # the plain fit centers it away; the constrained fit sweeps raw columns,
+    # where it acts like a second, penalized intercept
+    rng = np.random.default_rng(33)
+    X = rng.standard_normal((50, 6))
+    X[:, 2] = 1.5
+    y = X[:, 0] - X[:, 4] + 0.5 * rng.standard_normal(50)
+    return X, y, 0.05
+
+
+# Pinned lasso solutions: {index: value} of the nonzero coefficients, then
+# the intercept, for the plain fit and the constrained fit.
+LASSO_GOLDEN = {
+    "n_gt_p": (
+        _lasso_n_gt_p,
+        ({0: 1.4706914115727479, 1: -0.9253229196614852, 2: 0.34826123066168674,
+          5: -0.01403157256962409, 6: 0.024208602352843046, 7: -0.016251735731101346},
+         0.0109062729507447),
+        ({0: 1.6490549372693282, 1: -1.0566092889684786, 2: 0.36020371380511196,
+          5: -0.02511572546871173, 6: 0.010774536291149144, 7: -0.01353300338122386,
+          9: 0.0326998592749711},
+         0.06758916165427936),
+    ),
+    "p_gt_n": (
+        _lasso_p_gt_n,
+        ({0: 1.8957444320651, 1: -1.4106272353249258, 2: 0.7785664200853766,
+          3: 0.30438183748522557, 5: -0.011183451619540225, 16: -0.005775378911707906,
+          24: -0.013501899651358956, 26: -0.04683115175301867, 29: -0.06536712486782274,
+          30: -0.005739475100499928, 39: -0.017824911010992945},
+         -0.07682317228181917),
+        ({0: 2.0366937484182026, 1: -1.5082464037076666, 2: 0.8428487632029888,
+          3: 0.398598848658911, 11: 0.010007672076714796, 24: -0.09655746555399079,
+          29: -0.10760444648555272, 30: -0.009637038869403149},
+         -0.1262325992685608),
+    ),
+    "constant_column": (
+        _lasso_constant_column,
+        ({0: 0.9475682243660407, 4: -0.9645673538271026, 5: 0.04739138413403817},
+         0.09639200512028571),
+        ({0: 1.0203204898945006, 4: -1.0404607286271135, 5: 0.03953085129289717},
+         0.0893345957763225),
+    ),
+}
+
+
+def _dense(nonzero: dict, p: int) -> np.ndarray:
+    coef = np.zeros(p)
+    coef[list(nonzero)] = list(nonzero.values())
+    return coef
+
+
+class TestLassoGolden:
+    @pytest.mark.parametrize("case", sorted(LASSO_GOLDEN))
+    def test_plain_fit_exact(self, case):
+        make, (nonzero, intercept), _ = LASSO_GOLDEN[case]
+        X, y, lam = make()
+        m = fit(LearnerConfig(kind="lasso", lam=lam), X, y)
+        assert np.array_equal(m.coef, _dense(nonzero, X.shape[1]))
+        assert m.intercept == intercept
+
+    @pytest.mark.parametrize("case", sorted(LASSO_GOLDEN))
+    def test_constrained_fit_within_1e9(self, case):
+        # the constrained sweep may reorder floating-point sums, not the solution
+        make, _, (nonzero, intercept) = LASSO_GOLDEN[case]
+        X, y, lam = make()
+        split = partition_by_mean(y)
+        m = fit_constrained_linear(LearnerConfig(kind="lasso", lam=lam), X, y, split)
+        assert np.max(np.abs(m.coef - _dense(nonzero, X.shape[1]))) <= 1e-9
+        assert abs(m.intercept - intercept) <= 1e-9
+        s1, s2 = group_sums(m, X, y, split)
+        tol = LINEAR_GROUP_TOL * X.shape[0] * np.std(y)
+        assert abs(s1) <= tol and abs(s2) <= tol
+
+    def test_constrained_sweep_cap_raises(self):
+        # lam above lam_max: the plain warm start converges in its one sweep,
+        # so the cap is hit by the constrained loop itself
+        X, y, _ = _lasso_n_gt_p()
+        cfg = LearnerConfig(kind="lasso", lam=10.0, lasso_max_sweeps=1)
+        assert np.all(fit(cfg, X, y).coef == 0.0)
+        with pytest.raises(ConvergenceError, match="constrained lasso"):
+            fit_constrained_linear(cfg, X, y, partition_by_mean(y))
+
+
 class TestGbt:
     def test_exact_round_count_and_monotone_mse(self):
         rng = np.random.default_rng(4)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ class TestRunMonteCarlo:
         r2 = run_monte_carlo(self.CFG, self.LEARNER, self.SCENARIO, reps=12, B=60)
         assert json.dumps([s.to_dict() for s in r1], sort_keys=True) == \
             json.dumps([s.to_dict() for s in r2], sort_keys=True)
+
+    def test_propensity_clip_applied(self):
+        # strong confounding pushes many propensities outside [0.2, 0.8], so
+        # every propensity-weighted point must move with the clip
+        cfg = replace(self.CFG, gamma_scale=1.5)
+        scenario = [("aipw", "mlr"), ("dml", "mlr")]
+        kwargs = dict(reps=10, B=0, return_records=True)
+        _, default = run_monte_carlo(cfg, self.LEARNER, scenario, **kwargs)
+        _, tight = run_monte_carlo(cfg, self.LEARNER, scenario, clip=(0.2, 0.8), **kwargs)
+        for r_default, r_tight in zip(default, tight):
+            assert r_default["error"] is None and r_tight["error"] is None
+            assert r_default["point"] != r_tight["point"]
+        with pytest.raises(InvalidInputError):
+            run_monte_carlo(cfg, self.LEARNER, scenario, reps=10, clip=(0.8, 0.2))
 
     def test_per_replicate_records(self):
         res, records = run_monte_carlo(self.CFG, self.LEARNER, self.SCENARIO,
