@@ -61,7 +61,6 @@ from .learners import (
     anchor_recalibrate,
     fit,
     fit_constrained_linear,
-    predict,
 )
 from .simulation import (
     DgpConfig,

@@ -31,27 +31,22 @@ from .core import Dataset
 from .diagnostics import evaluate_predictions
 from .errors import CsvParseError, InvalidInputError, UmlrError
 from .estimators import (
-    aipw,
+    CI_METHODS,
+    ESTIMATORS,
+    MODES,
+    UMLR_ROUTES,
+    EstimatorSpec,
     bootstrap_ci,
-    dml,
-    fit_propensity,
-    psm_att,
-    s_learner,
-    t_learner,
-    x_learner,
+    check_choice,
 )
 from .learners import LearnerConfig
 from .simulation import DgpConfig, run_monte_carlo
 
 SCHEMA = "v1"
-_ESTIMATOR_ALIASES = {
-    "s": "s_learner", "s_learner": "s_learner",
-    "t": "t_learner", "t_learner": "t_learner",
-    "x": "x_learner", "x_learner": "x_learner",
-    "aipw": "aipw",
-    "dml": "dml",
-    "psm": "psm_att", "psm_att": "psm_att",
-}
+_ALIASES = {alias: name for name, entry in ESTIMATORS.items()
+            for alias in (name, *entry.aliases)}
+_SHORT_NAMES = ",".join(min((name, *entry.aliases), key=len)
+                        for name, entry in ESTIMATORS.items())
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +105,47 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+def _read_csv(path: str, select) -> tuple[list[str], list[int], np.ndarray]:
+    """Read a comma-separated UTF-8 file with a header row.
+
+    ``select(header)`` names the columns to read. Returns those names, the
+    line number of each non-blank data row, and the rows' values as a float
+    table. Every row must have as many fields as the header.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise CsvParseError(f"{path}: empty file") from None
+        cols = select(header)
+        for col in cols:
+            if col not in header:
+                raise CsvParseError(f"{path}: column {col!r} not found in header {header}")
+        col_idx = {h: i for i, h in enumerate(header)}
+        picks = [(col, col_idx[col]) for col in cols]
+
+        lines, rows = [], []
+        for rownum, raw in enumerate(reader, start=2):  # header is line 1
+            if not raw or all(not c.strip() for c in raw):
+                continue
+            if len(raw) != len(header):
+                raise CsvParseError(
+                    f"{path}:{rownum}: expected {len(header)} fields, got {len(raw)}"
+                )
+            values = []
+            for col, i in picks:
+                try:
+                    values.append(float(raw[i]))
+                except ValueError:
+                    raise CsvParseError(
+                        f"{path}:{rownum}: column {col!r}: non-numeric value {raw[i].strip()!r}"
+                    ) from None
+            lines.append(rownum)
+            rows.append(values)
+    return cols, lines, np.array(rows, dtype=float).reshape(len(rows), len(cols))
+
+
 def load_csv(path: str, outcome_col: str, treatment_col: str,
              covariate_cols: str | list[str] = "all-others") -> tuple[Dataset, list[str]]:
     """Read a comma-separated UTF-8 file with a header row into a Dataset.
@@ -118,55 +154,23 @@ def load_csv(path: str, outcome_col: str, treatment_col: str,
     "all-others" (every column except outcome and treatment). Returns the
     dataset and the covariate column names actually used.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for col in (outcome_col, treatment_col):
-            if col not in header:
-                raise CsvParseError(f"{path}: column {col!r} not found in header {header}")
+    def select(header: list[str]) -> list[str]:
         if covariate_cols == "all-others":
-            cov_names = [h for h in header if h not in (outcome_col, treatment_col)]
+            covs = [h for h in header if h not in (outcome_col, treatment_col)]
         else:
-            cov_names = list(covariate_cols)
-            for col in cov_names:
-                if col not in header:
-                    raise CsvParseError(f"{path}: covariate column {col!r} not found")
-        if not cov_names:
+            covs = list(covariate_cols)
+        if not covs:
             raise CsvParseError(f"{path}: no covariate columns selected")
-        col_idx = {h: i for i, h in enumerate(header)}
+        return [outcome_col, treatment_col, *covs]
 
-        ys, ts, xs = [], [], []
-        for rownum, raw in enumerate(reader, start=2):  # header is line 1
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != len(header):
-                raise CsvParseError(
-                    f"{path}:{rownum}: expected {len(header)} fields, got {len(raw)}"
-                )
-
-            def cell(col: str) -> float:
-                text = raw[col_idx[col]].strip()
-                try:
-                    return float(text)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}:{rownum}: column {col!r}: non-numeric value {text!r}"
-                    ) from None
-
-            ys.append(cell(outcome_col))
-            tv = cell(treatment_col)
-            if tv not in (0.0, 1.0):
-                raise CsvParseError(
-                    f"{path}:{rownum}: treatment column {treatment_col!r} must be 0 or 1, "
-                    f"got {raw[col_idx[treatment_col]].strip()!r}"
-                )
-            ts.append(int(tv))
-            xs.append([cell(c) for c in cov_names])
-    return Dataset(np.asarray(xs, dtype=float), np.asarray(ts), np.asarray(ys)), cov_names
+    cols, lines, table = _read_csv(path, select)
+    bad = np.flatnonzero((table[:, 1] != 0.0) & (table[:, 1] != 1.0))
+    if bad.size:
+        raise CsvParseError(
+            f"{path}:{lines[bad[0]]}: treatment column {treatment_col!r} must be 0 or 1, "
+            f"got {table[bad[0], 1]:g}"
+        )
+    return Dataset(table[:, 2:], table[:, 1], table[:, 0]), cols[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +189,11 @@ def _add_learner_args(p: argparse.ArgumentParser):
 def _add_common_args(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="key = value config file; flags override")
     p.add_argument("--estimator", default=None,
-                   help="comma list of s,t,x,aipw,dml,psm")
-    p.add_argument("--mode", choices=("mlr", "umlr", "both"), default=None)
-    p.add_argument("--umlr-route", choices=("auto", "constrained", "anchored"), default=None)
+                   help=f"comma list of {_SHORT_NAMES}")
+    p.add_argument("--mode", choices=(*MODES, "both"), default=None)
+    p.add_argument("--umlr-route", choices=UMLR_ROUTES, default=None)
     p.add_argument("--bootstrap", type=int, default=None, help="bootstrap resamples B")
-    p.add_argument("--ci-method", choices=("normal", "percentile"), default=None)
+    p.add_argument("--ci-method", choices=CI_METHODS, default=None)
     p.add_argument("--level", type=float, default=None)
     p.add_argument("--folds", type=int, default=None)
     p.add_argument("--propensity-l2", type=float, default=None)
@@ -270,23 +274,13 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _parse_estimators(spec: str) -> list[str]:
-    names = []
-    for token in spec.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token not in _ESTIMATOR_ALIASES:
-            raise InvalidInputError(
-                f"unknown estimator {token!r}; expected s,t,x,aipw,dml,psm"
-            )
-        names.append(_ESTIMATOR_ALIASES[token])
-    if not names:
+    tokens = [token.strip().lower() for token in spec.split(",") if token.strip()]
+    for token in tokens:
+        if token not in _ALIASES:
+            raise InvalidInputError(f"unknown estimator {token!r}; expected {_SHORT_NAMES}")
+    if not tokens:
         raise InvalidInputError("no estimators selected")
-    return names
-
-
-def _modes(mode: str) -> list[str]:
-    return ["mlr", "umlr"] if mode == "both" else [mode]
+    return [_ALIASES[token] for token in tokens]
 
 
 def _learner_from(resolved: dict) -> LearnerConfig:
@@ -298,6 +292,26 @@ def _learner_from(resolved: dict) -> LearnerConfig:
         learning_rate=resolved["learning_rate"],
         min_leaf=resolved["min_leaf"],
     )
+
+
+def _cells(cfg: dict, learner: LearnerConfig,
+           caliper: float = 0.2) -> list[tuple[str, EstimatorSpec]]:
+    """(estimator, spec) pairs in report order: each selected estimator in
+    each selected mode, or in its only mode if it has one (psm_att runs in
+    mlr mode whatever is selected). Every choice value and the clip are
+    checked here, before any work runs."""
+    check_choice("ci_method", cfg["ci_method"], CI_METHODS)
+    check_choice("mode", cfg["mode"], (*MODES, "both"))
+    base = EstimatorSpec(learner, "mlr", cfg["umlr_route"], cfg["propensity_l2"],
+                         (cfg["clip_lo"], cfg["clip_hi"]), cfg["folds"], cfg["level"], caliper)
+    selected = [dataclasses.replace(base, mode=mode)
+                for mode in (MODES if cfg["mode"] == "both" else (cfg["mode"],))]
+    cells = []
+    for name in _parse_estimators(cfg["estimator"]):
+        modes = ESTIMATORS[name].modes
+        cells += ([(name, spec) for spec in selected] if len(modes) > 1
+                  else [(name, dataclasses.replace(base, mode=modes[0]))])
+    return cells
 
 
 _COMMON_DEFAULTS = {
@@ -334,24 +348,14 @@ def _env_workers() -> int:
 
 
 def _cmd_simulate(args) -> dict:
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update({
-        "n": 1000, "p": 200, "s": 10, "sigma": 1.0, "mu1": 2.0, "mu0": 0.0,
-        "beta_scale": 0.5, "gamma_scale": 0.5, "effect_scale": 0.5,
-        "confound_sign": -1.0, "reps": 100,
-        "workers": _env_workers(),
-    })
-    cfg = _merge_config(args, defaults)
-    dgp = DgpConfig(
-        n=cfg["n"], p=cfg["p"], s=cfg["s"], mu1=cfg["mu1"], mu0=cfg["mu0"],
-        beta_scale=cfg["beta_scale"], gamma_scale=cfg["gamma_scale"],
-        effect_scale=cfg["effect_scale"], sigma=cfg["sigma"],
-        confound_sign=cfg["confound_sign"], seed=cfg["seed"],
-    )
+    dgp_defaults = {f.name: f.default for f in dataclasses.fields(DgpConfig)
+                    if f.name not in ("shared_noise", "seed")}  # no flag; seed is common
+    cfg = _merge_config(args, dict(_COMMON_DEFAULTS, **dgp_defaults, reps=100,
+                                   workers=_env_workers()))
+    dgp = DgpConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(DgpConfig)
+                       if f.name in cfg})
     learner = _learner_from(cfg)
-    scenario = [(name, mode)
-                for name in _parse_estimators(cfg["estimator"])
-                for mode in _modes(cfg["mode"])]
+    scenario = [(name, spec.mode) for name, spec in _cells(cfg, learner)]
     summaries, records = run_monte_carlo(
         dgp, learner, scenario, reps=cfg["reps"], B=cfg["bootstrap"],
         level=cfg["level"], propensity_l2=cfg["propensity_l2"], folds=cfg["folds"],
@@ -382,67 +386,39 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _spb_dict(report) -> dict:
-    return dataclasses.asdict(report)
-
-
 def _cmd_estimate(args) -> dict:
     cfg = _merge_config(args, dict(_COMMON_DEFAULTS, caliper=0.2))
+    cells = _cells(cfg, _learner_from(cfg), cfg["caliper"])
     covs = args.covariate_cols
     if covs != "all-others":
         covs = [c.strip() for c in covs.split(",") if c.strip()]
     data, cov_names = load_csv(args.data, args.outcome_col, args.treatment_col, covs)
-    learner = _learner_from(cfg)
-    names = _parse_estimators(cfg["estimator"])
-    route = cfg["umlr_route"]
 
-    results, diagnostics, warnings = [], [], []
-    prop = None
-    if any(n in ("x_learner", "aipw", "psm_att") for n in names):
-        prop = fit_propensity(data.X, data.t, l2=cfg["propensity_l2"],
-                              clip=(cfg["clip_lo"], cfg["clip_hi"]))
-
-    for name in names:
-        for mode in (["mlr"] if name == "psm_att" else _modes(cfg["mode"])):
-            if name == "t_learner":
-                m0, m1, est = t_learner(data, learner, mode, route)
-            elif name == "s_learner":
-                _, est = s_learner(data, learner, mode, route)
-            elif name == "x_learner":
-                est = x_learner(data, learner, mode, prop, route)
-            elif name == "aipw":
-                m0, m1, _ = t_learner(data, learner, mode, route)
-                est = aipw(data, m0, m1, prop, mode=mode)
-            elif name == "dml":
-                est = dml(data, learner, mode, folds=cfg["folds"],
-                          l2=cfg["propensity_l2"], level=cfg["level"],
-                          clip=(cfg["clip_lo"], cfg["clip_hi"]),
-                          umlr_route=route)
-            else:  # psm_att
-                est = psm_att(data, prop, caliper=cfg["caliper"])
-
-            if est.ci_low is None and cfg["bootstrap"] > 0:
-                closure = _point_closure_cli(name, mode, learner, cfg, prop, route)
-                lo, hi = bootstrap_ci(data, closure, B=cfg["bootstrap"],
-                                      level=cfg["level"], seed=cfg["seed"],
-                                      method=cfg["ci_method"], center=est.point)
-                est = est.with_interval(lo, hi)
-            results.append({
-                "estimator": est.estimator,
-                "estimand": "att" if name == "psm_att" else "ate",
-                "mode": est.mode,
-                "point": est.point,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "level": est.level,
-                "n_used": est.n_used,
-            })
-            for label, rep in (est.diagnostics or {}).items():
-                if rep is not None:
-                    diagnostics.append({
-                        "estimator": est.estimator, "mode": est.mode,
-                        "model": label, **_spb_dict(rep),
-                    })
+    results, diagnostics = [], []
+    for name, spec in cells:
+        entry = ESTIMATORS[name]
+        est = entry.run(data, spec, diagnostics=True)
+        if not entry.analytic_interval and cfg["bootstrap"] > 0:
+            lo, hi = bootstrap_ci(data, entry.point(spec), B=cfg["bootstrap"],
+                                  level=spec.level, seed=cfg["seed"],
+                                  method=cfg["ci_method"], center=est.point)
+            est = est.with_interval(lo, hi)
+        results.append({
+            "estimator": est.estimator,
+            "estimand": entry.estimand,
+            "mode": est.mode,
+            "point": est.point,
+            "ci_low": est.ci_low,
+            "ci_high": est.ci_high,
+            "level": est.level,
+            "n_used": est.n_used,
+        })
+        for label, rep in (est.diagnostics or {}).items():
+            if rep is not None:
+                diagnostics.append({
+                    "estimator": est.estimator, "mode": est.mode,
+                    "model": label, **dataclasses.asdict(rep),
+                })
     if args.csv_out:
         cols = ["estimator", "estimand", "mode", "point", "ci_low", "ci_high",
                 "level", "n_used"]
@@ -456,66 +432,25 @@ def _cmd_estimate(args) -> dict:
         },
         "results": results,
         "diagnostics": diagnostics,
-        "warnings": warnings,
+        "warnings": [],
     }
 
 
-def _point_closure_cli(name, mode, learner, cfg, prop, route):
-    l2 = cfg["propensity_l2"]
-    clip = (cfg["clip_lo"], cfg["clip_hi"])
-
-    def closure(d):
-        if name == "t_learner":
-            return t_learner(d, learner, mode, route, with_diagnostics=False)[2].point
-        if name == "s_learner":
-            return s_learner(d, learner, mode, route, with_diagnostics=False)[1].point
-        if name == "x_learner":
-            pr = fit_propensity(d.X, d.t, l2=l2, clip=clip)
-            return x_learner(d, learner, mode, pr, route, with_diagnostics=False).point
-        if name == "aipw":
-            m0, m1, _ = t_learner(d, learner, mode, route, with_diagnostics=False)
-            pr = fit_propensity(d.X, d.t, l2=l2, clip=clip)
-            return aipw(d, m0, m1, pr, mode=mode).point
-        if name == "psm_att":
-            pr = fit_propensity(d.X, d.t, l2=l2, clip=clip)
-            return psm_att(d, pr, caliper=cfg["caliper"]).point
-        raise InvalidInputError(name)
-
-    return closure
-
-
 def _cmd_diagnose(args) -> dict:
-    ys, yhats = [], []
     path = args.pred_file
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file") from None
-        for col in (args.y_col, args.yhat_col):
-            if col not in header:
-                raise CsvParseError(f"{path}: column {col!r} not found")
-        yi, pi = header.index(args.y_col), header.index(args.yhat_col)
-        for rownum, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            try:
-                ys.append(float(raw[yi]))
-                yhats.append(float(raw[pi]))
-            except (ValueError, IndexError):
-                raise CsvParseError(f"{path}:{rownum}: non-numeric or missing cell") from None
-    report = evaluate_predictions(np.asarray(ys), np.asarray(yhats))
+    _, _, table = _read_csv(path, lambda header: [args.y_col, args.yhat_col])
+    ys, yhats = (np.array(col) for col in table.T)
+    report = evaluate_predictions(ys, yhats)
     if args.scatter_out:
         lines = [f"# eta_hat={report.eta_hat!r} intercept={report.intercept!r}",
                  f"{args.y_col},{args.yhat_col}"]
-        lines += [f"{y!r},{p!r}" for y, p in zip(ys, yhats)]
+        lines += [f"{y!r},{p!r}" for y, p in table.tolist()]
         _atomic_write(args.scatter_out, "\n".join(lines) + "\n")
     return {
         "schema": SCHEMA,
         "config": {"command": "diagnose", "pred_file": path,
                    "y_col": args.y_col, "yhat_col": args.yhat_col},
-        "results": [_spb_dict(report)],
+        "results": [dataclasses.asdict(report)],
         "diagnostics": [],
         "warnings": [],
     }

@@ -11,11 +11,15 @@ Point estimators are pure functions of (data, config); confidence intervals
 come from the case-resampling bootstrap (:func:`bootstrap_ci`, percentile or
 normal form), except DML, which carries an analytic influence-function
 interval.
+
+:data:`ESTIMATORS` is the one place an estimator is registered; the CLI and
+the Monte-Carlo harness both dispatch through it.
 """
 
 from __future__ import annotations
 
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +40,9 @@ from .learners import FittedModel, LearnerConfig, anchor_recalibrate, fit, fit_c
 
 __all__ = [
     "AteEstimate",
+    "ESTIMATORS",
+    "Estimator",
+    "EstimatorSpec",
     "PropensityModel",
     "fit_propensity",
     "outcome_regression_ate",
@@ -47,9 +54,19 @@ __all__ = [
     "dml",
     "psm_att",
     "bootstrap_ci",
+    "check_choice",
 ]
 
 DEFAULT_CLIP = (0.01, 0.99)
+MODES = ("mlr", "umlr")
+UMLR_ROUTES = ("auto", "constrained", "anchored")
+CI_METHODS = ("normal", "percentile")
+
+
+def check_choice(key: str, value, choices) -> None:
+    """Reject ``value`` unless it is one of ``choices``, naming the key."""
+    if value not in choices:
+        raise InvalidInputError(f"{key!r} must be one of {', '.join(choices)}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,12 +208,11 @@ def fit_propensity(X, t, l2: float = 1.0, clip=DEFAULT_CLIP,
 
 def _fit_arm(cfg: LearnerConfig, mode: str, X: np.ndarray, y: np.ndarray,
              umlr_route: str = "auto") -> FittedModel:
+    if mode not in MODES or umlr_route not in UMLR_ROUTES:
+        check_choice("mode", mode, MODES)
+        check_choice("umlr_route", umlr_route, UMLR_ROUTES)
     if mode == "mlr":
         return fit(cfg, X, y)
-    if mode != "umlr":
-        raise InvalidInputError(f"mode must be 'mlr' or 'umlr', got {mode!r}")
-    if umlr_route not in ("auto", "constrained", "anchored"):
-        raise InvalidInputError(f"unknown umlr_route {umlr_route!r}")
     split = partition_by_mean(y)
     route = umlr_route
     if route == "auto":
@@ -206,14 +222,10 @@ def _fit_arm(cfg: LearnerConfig, mode: str, X: np.ndarray, y: np.ndarray,
     return anchor_recalibrate(fit(cfg, X, y), X, y, split)
 
 
-def _min_arm_size(cfg: LearnerConfig) -> int:
-    return max(5, cfg.min_leaf) if cfg.kind == "gbt" else 5
-
-
 def _check_arms(data: Dataset, cfg: LearnerConfig) -> tuple[np.ndarray, np.ndarray]:
     control = data.arm_indices(0)
     treated = data.arm_indices(1)
-    need = _min_arm_size(cfg)
+    need = max(5, cfg.min_leaf) if cfg.kind == "gbt" else 5
     if treated.size < need or control.size < need:
         raise InvalidInputError(
             f"each arm needs >= {need} units; got {treated.size} treated, {control.size} control"
@@ -243,6 +255,22 @@ def outcome_regression_ate(data: Dataset, mu0, mu1) -> float:
     return float(np.mean(_predictions(mu1, data) - _predictions(mu0, data)))
 
 
+def _fit_arms(data: Dataset, cfg: LearnerConfig, mode: str, umlr_route: str,
+              with_diagnostics: bool):
+    """One outcome model per arm; returns (control rows, treated rows,
+    model0, model1, per-arm shrinkage reports or None)."""
+    control, treated = _check_arms(data, cfg)
+    model0 = _fit_arm(cfg, mode, data.X[control], data.y[control], umlr_route)
+    model1 = _fit_arm(cfg, mode, data.X[treated], data.y[treated], umlr_route)
+    diag = None
+    if with_diagnostics:
+        diag = {
+            "mu0": _safe_report(data.y[control], model0.predict(data.X[control])),
+            "mu1": _safe_report(data.y[treated], model1.predict(data.X[treated])),
+        }
+    return control, treated, model0, model1, diag
+
+
 def t_learner(data: Dataset, cfg: LearnerConfig, mode: str = "mlr",
               umlr_route: str = "auto", with_diagnostics: bool = True):
     """Per-arm outcome models; returns (model0, model1, estimate).
@@ -252,16 +280,8 @@ def t_learner(data: Dataset, cfg: LearnerConfig, mode: str = "mlr",
     the default for linear kinds) or the affine recalibration layer
     ("anchored", always used for gbt).
     """
-    control, treated = _check_arms(data, cfg)
-    model0 = _fit_arm(cfg, mode, data.X[control], data.y[control], umlr_route)
-    model1 = _fit_arm(cfg, mode, data.X[treated], data.y[treated], umlr_route)
+    _, _, model0, model1, diag = _fit_arms(data, cfg, mode, umlr_route, with_diagnostics)
     point = outcome_regression_ate(data, model0, model1)
-    diag = None
-    if with_diagnostics:
-        diag = {
-            "mu0": _safe_report(data.y[control], model0.predict(data.X[control])),
-            "mu1": _safe_report(data.y[treated], model1.predict(data.X[treated])),
-        }
     est = AteEstimate(point=point, estimator="t_learner", mode=mode,
                       n_used=data.n, diagnostics=diag)
     return model0, model1, est
@@ -294,21 +314,14 @@ def x_learner(data: Dataset, cfg: LearnerConfig, mode: str, prop: PropensityMode
     Anchoring applies to the stage-1 outcome models only; stage-2 models
     target pseudo-outcomes, not the observed outcome.
     """
-    control, treated = _check_arms(data, cfg)
-    model0 = _fit_arm(cfg, mode, data.X[control], data.y[control], umlr_route)
-    model1 = _fit_arm(cfg, mode, data.X[treated], data.y[treated], umlr_route)
+    control, treated, model0, model1, diag = _fit_arms(data, cfg, mode, umlr_route,
+                                                        with_diagnostics)
     d_treated = data.y[treated] - model0.predict(data.X[treated])
     d_control = model1.predict(data.X[control]) - data.y[control]
     tau1 = fit(cfg, data.X[treated], d_treated)
     tau0 = fit(cfg, data.X[control], d_control)
     e = prop.predict_proba(data.X)
     tau = e * tau0.predict(data.X) + (1.0 - e) * tau1.predict(data.X)
-    diag = None
-    if with_diagnostics:
-        diag = {
-            "mu0": _safe_report(data.y[control], model0.predict(data.X[control])),
-            "mu1": _safe_report(data.y[treated], model1.predict(data.X[treated])),
-        }
     return AteEstimate(point=float(np.mean(tau)), estimator="x_learner", mode=mode,
                        n_used=data.n, diagnostics=diag)
 
@@ -526,8 +539,7 @@ def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
         raise InvalidInputError("need B >= 50 bootstrap resamples")
     if not 0 < level < 1:
         raise InvalidInputError("level must lie in (0, 1)")
-    if method not in ("percentile", "normal"):
-        raise InvalidInputError("method must be 'percentile' or 'normal'")
+    check_choice("method", method, CI_METHODS)
     points = []
     failures = 0
     for b in range(B):
@@ -547,3 +559,87 @@ def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
     sd = float(np.std(points, ddof=1))
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return mid - z * sd, mid + z * sd
+
+
+# ---------------------------------------------------------------------------
+# the estimator registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """Every knob a registered estimator reads. The choice values and the
+    clip are validated once, here, never per bootstrap resample."""
+
+    learner: LearnerConfig
+    mode: str = "mlr"
+    umlr_route: str = "auto"
+    propensity_l2: float = 1.0
+    clip: tuple[float, float] = DEFAULT_CLIP
+    folds: int = 5
+    level: float = 0.95
+    caliper: float = 0.2
+
+    def __post_init__(self):
+        check_choice("mode", self.mode, MODES)
+        check_choice("umlr_route", self.umlr_route, UMLR_ROUTES)
+        check_clip(self.clip)
+
+    def propensity(self, data: Dataset) -> PropensityModel:
+        return fit_propensity(data.X, data.t, l2=self.propensity_l2, clip=self.clip)
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """``run(data, spec, diagnostics=False)`` returns the AteEstimate (with
+    the outcome models' shrinkage reports if asked and available); an
+    ``analytic_interval`` estimator carries its own interval and is never
+    bootstrapped."""
+
+    run: Callable[..., AteEstimate]
+    aliases: tuple[str, ...] = ()
+    estimand: str = "ate"
+    modes: tuple[str, ...] = MODES
+    analytic_interval: bool = False
+
+    def point(self, spec: EstimatorSpec) -> Callable[[Dataset], float]:
+        """The point estimate as a function of the data, for :func:`bootstrap_ci`."""
+        run = self.run
+        return lambda data: run(data, spec).point
+
+
+def _run_s(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
+    return s_learner(data, spec.learner, spec.mode, spec.umlr_route, diagnostics)[1]
+
+
+def _run_t(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
+    return t_learner(data, spec.learner, spec.mode, spec.umlr_route, diagnostics)[2]
+
+
+def _run_x(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
+    return x_learner(data, spec.learner, spec.mode, spec.propensity(data),
+                     spec.umlr_route, diagnostics)
+
+
+def _run_aipw(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
+    m0, m1, _ = t_learner(data, spec.learner, spec.mode, spec.umlr_route,
+                          with_diagnostics=False)
+    return aipw(data, m0, m1, spec.propensity(data), mode=spec.mode)
+
+
+def _run_dml(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
+    return dml(data, spec.learner, spec.mode, folds=spec.folds, l2=spec.propensity_l2,
+               clip=spec.clip, level=spec.level, umlr_route=spec.umlr_route)
+
+
+def _run_psm(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
+    return psm_att(data, spec.propensity(data), caliper=spec.caliper)
+
+
+ESTIMATORS = {
+    "s_learner": Estimator(_run_s, aliases=("s",)),
+    "t_learner": Estimator(_run_t, aliases=("t",)),
+    "x_learner": Estimator(_run_x, aliases=("x",)),
+    "aipw": Estimator(_run_aipw),
+    "dml": Estimator(_run_dml, analytic_interval=True),
+    "psm_att": Estimator(_run_psm, aliases=("psm",), estimand="att", modes=("mlr",)),
+}

@@ -42,7 +42,6 @@ __all__ = [
     "fit",
     "fit_constrained_linear",
     "anchor_recalibrate",
-    "predict",
     "LINEAR_GROUP_TOL",
     "GBT_GROUP_TOL",
 ]
@@ -164,11 +163,6 @@ class FittedModel:
             a, b = self.anchor
             out = a + b * out
         return out
-
-
-def predict(model: FittedModel, X) -> np.ndarray:
-    """Evaluate a fitted model on new rows (module-level alias)."""
-    return model.predict(X)
 
 
 # ---------------------------------------------------------------------------

@@ -19,27 +19,27 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, partition_by_mean
+from .core import Dataset
 from .diagnostics import BiasInputs, counterfactual_slopes, shrinkage_ate_bias
 from .errors import InvalidInputError, UmlrError
 from .estimators import (
+    CI_METHODS,
     DEFAULT_CLIP,
+    ESTIMATORS,
+    EstimatorSpec,
+    _expit,
+    _fit_arm,
     aipw,
     bootstrap_ci,
-    check_clip,
-    dml,
-    fit_propensity,
+    check_choice,
     outcome_regression_ate,
-    psm_att,
-    s_learner,
     t_learner,
-    x_learner,
 )
-from .learners import LearnerConfig, anchor_recalibrate, fit
+from .learners import LearnerConfig
 
 __all__ = [
     "DgpConfig",
@@ -53,9 +53,6 @@ __all__ = [
     "aipw_oracle_sweep",
     "default_sweep_learner",
 ]
-
-ESTIMATOR_NAMES = ("s_learner", "t_learner", "x_learner", "aipw", "dml", "psm_att")
-
 
 @dataclass(frozen=True)
 class DgpConfig:
@@ -112,15 +109,6 @@ class SimReplicate:
     beta0: np.ndarray
     beta1: np.ndarray
     e_star: np.ndarray  # oracle propensity at each unit
-
-
-def _expit(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def generate_replicate(cfg: DgpConfig, rep_index: int) -> SimReplicate:
@@ -230,80 +218,36 @@ class McSummary:
     slope_out_0: float | None = None
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "estimator", "mode", "reps", "bias_pct_abs", "bias_pct_signed",
-            "rmse", "coverage", "mc_se", "n_failed", "valid",
-            "slope_out_1", "slope_out_0",
-        )}
+        return asdict(self)
 
 
-def _point_closure(name: str, mode: str, learner: LearnerConfig,
-                   propensity_l2: float, folds: int, umlr_route: str, clip):
-    if name == "t_learner":
-        return lambda d: t_learner(d, learner, mode, umlr_route,
-                                   with_diagnostics=False)[2].point
-    if name == "s_learner":
-        return lambda d: s_learner(d, learner, mode, umlr_route,
-                                   with_diagnostics=False)[1].point
-    if name == "x_learner":
-        def _x(d):
-            prop = fit_propensity(d.X, d.t, l2=propensity_l2, clip=clip)
-            return x_learner(d, learner, mode, prop, umlr_route,
-                             with_diagnostics=False).point
-        return _x
-    if name == "aipw":
-        def _a(d):
-            m0, m1, _ = t_learner(d, learner, mode, umlr_route,
-                                  with_diagnostics=False)
-            prop = fit_propensity(d.X, d.t, l2=propensity_l2, clip=clip)
-            return aipw(d, m0, m1, prop, mode=mode).point
-        return _a
-    if name == "psm_att":
-        def _p(d):
-            prop = fit_propensity(d.X, d.t, l2=propensity_l2, clip=clip)
-            return psm_att(d, prop).point
-        return _p
-    raise InvalidInputError(f"unknown estimator {name!r}")
-
-
-def _replicate_task(dgp: DgpConfig, learner: LearnerConfig, scenario, r: int,
-                    B: int, level: float, propensity_l2: float, folds: int,
-                    collect_slopes: bool, umlr_route: str, ci_method: str, clip):
+def _replicate_task(dgp: DgpConfig, cells, r: int, B: int, ci_method: str,
+                    collect_slopes: bool):
     rep = generate_replicate(dgp, r)
     out = []
-    for k, (name, mode) in enumerate(scenario):
-        row = {"rep": r, "estimator": name, "mode": mode, "true_ate": rep.true_ate,
+    for k, (name, spec, entry, point_fn) in enumerate(cells):
+        row = {"rep": r, "estimator": name, "mode": spec.mode, "true_ate": rep.true_ate,
                "point": None, "ci_low": None, "ci_high": None, "error": None,
                "slope_out_1": None, "slope_out_0": None}
         try:
-            if name == "dml":
-                est = dml(rep.data, learner, mode, folds=folds, l2=propensity_l2,
-                          clip=clip, level=level, umlr_route=umlr_route)
-                row["point"] = est.point
-                row["ci_low"], row["ci_high"] = est.ci_low, est.ci_high
+            if collect_slopes and name == "t_learner":
+                m0, m1, est = t_learner(rep.data, spec.learner, spec.mode,
+                                        spec.umlr_route, with_diagnostics=False)
+                try:
+                    slopes = counterfactual_slopes(rep.data, rep.mu0_star, rep.mu1_star,
+                                                   m0, m1)
+                    row["slope_out_1"], row["slope_out_0"] = slopes.eta_1_0, slopes.eta_0_1
+                except UmlrError:
+                    pass
             else:
-                closure = _point_closure(name, mode, learner, propensity_l2, folds,
-                                         umlr_route, clip)
-                if collect_slopes and name == "t_learner":
-                    m0, m1, est = t_learner(rep.data, learner, mode, umlr_route)
-                    row["point"] = est.point
-                    try:
-                        slopes = counterfactual_slopes(
-                            rep.data, rep.mu0_star, rep.mu1_star, m0, m1
-                        )
-                        row["slope_out_1"] = slopes.eta_1_0
-                        row["slope_out_0"] = slopes.eta_0_1
-                    except UmlrError:
-                        pass
-                else:
-                    row["point"] = closure(rep.data)
-                if B > 0:
-                    ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + k
-                    lo, hi = bootstrap_ci(rep.data, closure, B=B, level=level,
-                                          seed=ci_seed, method=ci_method,
-                                          center=row["point"])
-                    row["ci_low"] = min(lo, row["point"])
-                    row["ci_high"] = max(hi, row["point"])
+                est = entry.run(rep.data, spec)
+            row["point"] = est.point
+            if not entry.analytic_interval and B > 0:
+                ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + k
+                est = est.with_interval(*bootstrap_ci(
+                    rep.data, point_fn, B=B, level=spec.level, seed=ci_seed,
+                    method=ci_method, center=est.point))
+            row["ci_low"], row["ci_high"] = est.ci_low, est.ci_high
         except UmlrError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         out.append(row)
@@ -319,7 +263,9 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     """Generate-fit-estimate loop over ``reps`` replicates.
 
     ``scenario`` is a list of (estimator_name, mode) pairs evaluated on the
-    same replicates. Replicates are independent and may run on several
+    same replicates; each must be a name and mode that
+    :data:`~umlr.estimators.ESTIMATORS` registers (``psm_att`` runs in
+    ``mlr`` mode only). Replicates are independent and may run on several
     worker threads; per-replicate seeds are derived from (seed, index) and
     aggregation runs in index order, so results are identical for any
     ``workers`` value. Set ``B = 0`` to skip bootstrap intervals (DML keeps
@@ -334,17 +280,16 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     """
     if reps < 10:
         raise InvalidInputError("need reps >= 10")
-    check_clip(clip)
-    scenario = [tuple(sc) for sc in scenario]
+    check_choice("ci_method", ci_method, CI_METHODS)
+    cells = []
     for name, mode in scenario:
-        if name not in ESTIMATOR_NAMES:
-            raise InvalidInputError(f"unknown estimator {name!r}")
-        if mode not in ("mlr", "umlr"):
-            raise InvalidInputError(f"unknown mode {mode!r}")
+        spec = EstimatorSpec(learner, mode, umlr_route, propensity_l2, clip, folds, level)
+        entry = ESTIMATORS.get(name)
+        if entry is None or mode not in entry.modes:
+            raise InvalidInputError(f"no registered estimator {name!r} runs in mode {mode!r}")
+        cells.append((name, spec, entry, entry.point(spec)))
 
-    task = lambda r: _replicate_task(dgp, learner, scenario, r, B, level,
-                                     propensity_l2, folds, collect_slopes,
-                                     umlr_route, ci_method, clip)
+    task = lambda r: _replicate_task(dgp, cells, r, B, ci_method, collect_slopes)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(task, range(reps)))
@@ -353,7 +298,8 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
 
     records = [row for rep_rows in per_rep for row in rep_rows]
     summaries = []
-    for k, (name, mode) in enumerate(scenario):
+    for k, (name, spec, _, _) in enumerate(cells):
+        mode = spec.mode
         rows = [per_rep[r][k] for r in range(reps)]
         ok = [row for row in rows if row["error"] is None]
         n_failed = reps - len(ok)
@@ -468,6 +414,7 @@ def aipw_oracle_sweep(n_grid, sigma_grid, template: DgpConfig, reps: int,
     for v in variants:
         if v not in known:
             raise InvalidInputError(f"unknown sweep variant {v!r}")
+    ols = LearnerConfig(kind="ridge", lam=0.0)
     cells = []
     for n in n_grid:
         for sigma in sigma_grid:
@@ -482,20 +429,13 @@ def aipw_oracle_sweep(n_grid, sigma_grid, template: DgpConfig, reps: int,
                     if v == "po_mean_oracle":
                         point = float(np.mean(rep.y1 - rep.y0))
                     else:
-                        mode_umlr = v.endswith("umlr")
+                        mode = "umlr" if v.endswith("umlr") else "mlr"
                         preds = []
                         for rows in (ctrl, trt):
                             Xa, ya = rep.data.X[rows], rep.data.y[rows]
-                            if mode_umlr:
-                                split = partition_by_mean(ya)
-                                if Xa.shape[0] > cfg.p + 2:
-                                    base = fit(LearnerConfig(kind="ridge", lam=0.0),
-                                               Xa, ya)
-                                else:
-                                    base = fit(learner, Xa, ya)
-                                model = anchor_recalibrate(base, Xa, ya, split)
-                            else:
-                                model = fit(learner, Xa, ya)
+                            overdetermined = mode == "umlr" and Xa.shape[0] > cfg.p + 2
+                            model = _fit_arm(ols if overdetermined else learner, mode,
+                                             Xa, ya, "anchored")
                             preds.append(model.predict(rep.data.X))
                         point = aipw(rep.data, preds[0], preds[1], rep.e_star).point
                     bias[v].append(point - rep.true_ate)

@@ -129,6 +129,26 @@ class TestConfigFile:
         assert repr(key) in message and repr(raw) in message
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("key", ["mode", "umlr_route", "ci_method"])
+    def test_unknown_choice_value_exits_3(self, tmp_path, command, key):
+        # config-file values bypass argparse's choices; a bad one must stop
+        # the run before any work, also when no bootstrap is asked for
+        cfg = tmp_path / "run.cfg"
+        lines = [f"{key} = bogus", "bootstrap = 0", "estimator = t"]
+        if command == "simulate":
+            lines += ["n = 60", "p = 4", "s = 2", "reps = 10"]
+            args = ["simulate"]
+        else:
+            args = ["estimate", "--data", str(write_cohort(tmp_path / "cohort.csv", n=60))]
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        r = run_cli([*args, "--config", str(cfg), "--out", str(out)])
+        assert_contract_error(r, "invalid_input")
+        message = json.loads(r.stderr)["error"]["message"]
+        assert repr(key) in message and "'bogus'" in message
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_report_schema_and_determinism(self, tmp_path):
@@ -159,6 +179,15 @@ class TestSimulateCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("rep,estimator,mode,true_ate,point")
         assert len(lines) == 11
+
+    def test_psm_reports_its_mlr_row_only(self, tmp_path):
+        out = tmp_path / "r.json"
+        rc = main(["simulate", "--n", "60", "--p", "4", "--s", "2", "--reps", "10",
+                   "--bootstrap", "0", "--estimator", "psm", "--mode", "both",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        rows = json.loads(out.read_text())["results"]
+        assert [(r["estimator"], r["mode"]) for r in rows] == [("psm_att", "mlr")]
 
     def test_non_integer_workers_env_exits_3(self, tmp_path):
         r = run_cli(["simulate", "--n", "100", "--p", "4", "--s", "2", "--reps", "10",
@@ -287,6 +316,13 @@ class TestDiagnoseCommand:
         pooled = evaluate_predictions(np.concatenate([y1, y2]), np.concatenate([p1, p2]))
         assert outs[2]["eta_hat"] == pytest.approx(pooled.eta_hat, rel=1e-12)
         assert outs[2]["n"] == 50
+
+    def test_ragged_row_names_path_and_line(self, tmp_path):
+        f = tmp_path / "preds.csv"
+        f.write_text("y,y_hat\n1.0,1.0\n2.0,2.0,9.0\n3.0,3.0\n")
+        r = run_cli(["diagnose", "--pred-file", str(f), "--out", str(tmp_path / "d.json")])
+        assert_contract_error(r, "csv_parse")
+        assert f"{f}:3:" in json.loads(r.stderr)["error"]["message"]
 
     def test_missing_column_exit_code(self, tmp_path):
         f = tmp_path / "preds.csv"

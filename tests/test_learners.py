@@ -13,7 +13,6 @@ from umlr import (
     fit,
     fit_constrained_linear,
     partition_by_mean,
-    predict,
 )
 from umlr.learners import GBT_GROUP_TOL, LINEAR_GROUP_TOL
 
@@ -306,7 +305,7 @@ class TestGbtGolden:
 class TestPredict:
     def test_linear_evaluation(self):
         m = fit(RIDGE0, [[1.0], [2.0], [3.0]], [2.0, 4.0, 6.0])
-        assert predict(m, [[3.0]]) == pytest.approx([6.0])
+        assert m.predict([[3.0]]) == pytest.approx([6.0])
 
     def test_anchored_affine_application(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])

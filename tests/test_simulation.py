@@ -161,6 +161,11 @@ class TestRunMonteCarlo:
         with pytest.raises(InvalidInputError):
             run_monte_carlo(self.CFG, self.LEARNER, [("zzz", "mlr")], reps=10)
 
+    def test_psm_umlr_cell_rejected(self):
+        # matching uses no outcome model, so a umlr cell would repeat the mlr one
+        with pytest.raises(InvalidInputError):
+            run_monte_carlo(self.CFG, self.LEARNER, [("psm_att", "umlr")], reps=10, B=0)
+
     def test_summary_fields_and_rmse_bound(self):
         res = run_monte_carlo(self.CFG, self.LEARNER, self.SCENARIO, reps=12, B=0)
         assert [s.mode for s in res] == ["mlr", "umlr"]
