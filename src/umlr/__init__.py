@@ -16,7 +16,7 @@ effect estimates. This package provides:
 - a small CLI (``umlr simulate | estimate | diagnose``) in :mod:`umlr.cli`.
 """
 
-from .core import Dataset, SplitIndices, center_outcome, partition_by_mean
+from .core import Dataset, SplitIndices, partition_by_mean
 from .diagnostics import (
     BiasInputs,
     CounterfactualSlopes,

@@ -36,8 +36,11 @@ from .estimators import (
     MODES,
     UMLR_ROUTES,
     EstimatorSpec,
-    bootstrap_ci,
+    Nuisances,
+    bootstrap_interval,
+    check_bootstrap,
     check_choice,
+    resampled_points,
 )
 from .learners import LearnerConfig
 from .simulation import DgpConfig, run_monte_carlo
@@ -394,25 +397,29 @@ def _cmd_estimate(args) -> dict:
         covs = [c.strip() for c in covs.split(",") if c.strip()]
     data, cov_names = load_csv(args.data, args.outcome_col, args.treatment_col, covs)
 
+    # one memo serves every row's point; in the bootstrap, one per resample
+    nuis = Nuisances(data)
+    ests = [ESTIMATORS[name].run(data, spec, nuis, diagnostics=True) for name, spec in cells]
+    B, warnings = cfg["bootstrap"], []
+    boot = [(k, ESTIMATORS[name].run, spec) for k, (name, spec) in enumerate(cells)
+            if B > 0 and not ESTIMATORS[name].analytic_interval]
+    if boot:
+        check_bootstrap(B, cfg["level"], cfg["ci_method"])
+        fns = [lambda sub, memo, run=run, spec=spec: run(sub, spec, memo).point
+               for _, run, spec in boot]
+        points, failures = resampled_points(data, fns, B, cfg["seed"])
+        for (k, _, spec), pts, failed in zip(boot, points, failures):
+            est = ests[k]
+            ests[k] = est.with_interval(*bootstrap_interval(
+                pts, B, spec.level, cfg["ci_method"], lambda: est.point), spec.level)
+            if failed:
+                warnings.append(f"{est.estimator}/{est.mode}: {sum(failed.values())} of {B} "
+                                f"bootstrap resamples failed ({', '.join(sorted(failed))})")
+    cols = ["estimator", "estimand", "mode", "point", "ci_low", "ci_high", "level", "n_used"]
     results, diagnostics = [], []
-    for name, spec in cells:
-        entry = ESTIMATORS[name]
-        est = entry.run(data, spec, diagnostics=True)
-        if not entry.analytic_interval and cfg["bootstrap"] > 0:
-            lo, hi = bootstrap_ci(data, entry.point(spec), B=cfg["bootstrap"],
-                                  level=spec.level, seed=cfg["seed"],
-                                  method=cfg["ci_method"], center=est.point)
-            est = est.with_interval(lo, hi)
-        results.append({
-            "estimator": est.estimator,
-            "estimand": entry.estimand,
-            "mode": est.mode,
-            "point": est.point,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "level": est.level,
-            "n_used": est.n_used,
-        })
+    for (name, _), est in zip(cells, ests):
+        results.append({"estimand": ESTIMATORS[name].estimand,
+                        **{c: getattr(est, c) for c in cols if c != "estimand"}})
         for label, rep in (est.diagnostics or {}).items():
             if rep is not None:
                 diagnostics.append({
@@ -420,8 +427,6 @@ def _cmd_estimate(args) -> dict:
                     "model": label, **dataclasses.asdict(rep),
                 })
     if args.csv_out:
-        cols = ["estimator", "estimand", "mode", "point", "ci_low", "ci_high",
-                "level", "n_used"]
         _write_csv(args.csv_out, cols, [[row[c] for c in cols] for row in results])
     return {
         "schema": SCHEMA,
@@ -432,7 +437,7 @@ def _cmd_estimate(args) -> dict:
         },
         "results": results,
         "diagnostics": diagnostics,
-        "warnings": [],
+        "warnings": warnings,
     }
 
 

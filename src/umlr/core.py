@@ -1,4 +1,4 @@
-"""Shared data model: datasets, outcome centering, and the two-group outcome split.
+"""Shared data model: datasets and the two-group outcome split.
 
 The split divides training units into a below-or-at-mean group and an
 above-mean group of the outcome; the two per-group residual-sum constraints
@@ -17,7 +17,6 @@ from .errors import DegeneratePartitionError, InvalidInputError
 __all__ = [
     "Dataset",
     "SplitIndices",
-    "center_outcome",
     "partition_by_mean",
 ]
 
@@ -130,19 +129,6 @@ class SplitIndices:
     @property
     def both_nonempty(self) -> bool:
         return self.r1.size > 0 and self.r2.size > 0
-
-
-def center_outcome(y) -> tuple[np.ndarray, float]:
-    """Subtract the sample mean from y; return (centered, mean).
-
-    The mean is returned so predictions fitted on the centered scale can be
-    shifted back.
-    """
-    y = _as_float_array(y, "y", 1)
-    if y.size == 0:
-        raise InvalidInputError("y must be nonempty")
-    mean = float(np.mean(y))
-    return y - mean, mean
 
 
 def partition_by_mean(y) -> SplitIndices:

@@ -13,12 +13,15 @@ normal form), except DML, which carries an analytic influence-function
 interval.
 
 :data:`ESTIMATORS` is the one place an estimator is registered; the CLI and
-the Monte-Carlo harness both dispatch through it.
+the Monte-Carlo harness both dispatch through it. Estimators run on the same
+data share one :class:`Nuisances` memo, so each outcome and propensity model
+is fitted once however many estimators and modes ask for it.
 """
 
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +46,7 @@ __all__ = [
     "ESTIMATORS",
     "Estimator",
     "EstimatorSpec",
+    "Nuisances",
     "PropensityModel",
     "fit_propensity",
     "outcome_regression_ate",
@@ -54,7 +58,10 @@ __all__ = [
     "dml",
     "psm_att",
     "bootstrap_ci",
+    "bootstrap_interval",
+    "check_bootstrap",
     "check_choice",
+    "resampled_points",
 ]
 
 DEFAULT_CLIP = (0.01, 0.99)
@@ -94,9 +101,11 @@ class AteEstimate:
         if self.ci_low is not None and self.ci_low > self.ci_high:
             raise InvalidInputError("ci_low must not exceed ci_high")
 
-    def with_interval(self, lo: float, hi: float) -> "AteEstimate":
-        """Attach an interval, widened if needed so it contains the point."""
-        return replace(self, ci_low=min(lo, self.point), ci_high=max(hi, self.point))
+    def with_interval(self, lo: float, hi: float, level: float) -> "AteEstimate":
+        """Attach an interval at ``level``, widened if needed so it contains
+        the point."""
+        return replace(self, ci_low=min(lo, self.point), ci_high=max(hi, self.point),
+                       level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +212,13 @@ def fit_propensity(X, t, l2: float = 1.0, clip=DEFAULT_CLIP,
 
 
 # ---------------------------------------------------------------------------
-# outcome-regression machinery
+# outcome-regression machinery and the nuisance memo
 # ---------------------------------------------------------------------------
 
 def _fit_arm(cfg: LearnerConfig, mode: str, X: np.ndarray, y: np.ndarray,
-             umlr_route: str = "auto") -> FittedModel:
+             umlr_route: str = "auto", base=None) -> FittedModel:
+    """One outcome model in ``mode``; the anchored route wraps ``base()``, or
+    a fresh plain fit when no ``base`` is given."""
     if mode not in MODES or umlr_route not in UMLR_ROUTES:
         check_choice("mode", mode, MODES)
         check_choice("umlr_route", umlr_route, UMLR_ROUTES)
@@ -219,12 +230,102 @@ def _fit_arm(cfg: LearnerConfig, mode: str, X: np.ndarray, y: np.ndarray,
         route = "constrained" if cfg.kind in ("ridge", "lasso") else "anchored"
     if route == "constrained":
         return fit_constrained_linear(cfg, X, y, split)
-    return anchor_recalibrate(fit(cfg, X, y), X, y, split)
+    return anchor_recalibrate(base() if base else fit(cfg, X, y), X, y, split)
 
 
-def _check_arms(data: Dataset, cfg: LearnerConfig) -> tuple[np.ndarray, np.ndarray]:
-    control = data.arm_indices(0)
-    treated = data.arm_indices(1)
+def _assign_folds(data: Dataset, folds: int) -> np.ndarray:
+    """Fold of each row, dealt round-robin within each arm along a row order
+    set by content only, so it is invariant to permutations of the rows."""
+    order = np.lexsort([*(data.X[:, j] for j in range(data.p - 1, -1, -1)), data.y, data.t])
+    fold_of = np.empty(data.n, dtype=np.int64)
+    offset = 0
+    for arm in (0, 1):
+        arm_rows = order[data.t[order] == arm]
+        # per-arm offset keeps folds evenly filled (folds = n is leave-one-out)
+        fold_of[arm_rows] = (np.arange(arm_rows.size) + offset) % folds
+        offset += arm_rows.size
+    return fold_of
+
+
+class Nuisances:
+    """The nuisance fits of one Dataset, each made once for every estimator
+    and mode that asks; a memo lives for one call, replicate or resample.
+
+    Outcome models are keyed by learner config, mode, umlr route and training
+    part: ``("arm", a)``, the rows of arm ``a``; ``("fold", folds, k, a)``,
+    those outside DML fold ``k``; ``("s",)``, all rows with ``t`` appended.
+    Propensity fits are keyed by ``(l2, clip)`` and the fold left out; no key
+    looks at array contents. A fit that raises is not stored. Entries are
+    shared between callers, who must not modify them.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self._memo = {}
+
+    def _get(self, key, make):
+        value = self._memo.get(key)  # no entry is None
+        if value is None:
+            value = self._memo[key] = make()
+        return value
+
+    def folds(self, folds: int) -> np.ndarray:
+        return self._get(("folds", folds), lambda: _assign_folds(self.data, folds))
+
+    def rows(self, arm: int) -> np.ndarray:
+        return self._get(("rows", arm), lambda: self.data.arm_indices(arm))
+
+    def _training(self, part) -> tuple[np.ndarray, np.ndarray]:
+        X, t, y = self.data.X, self.data.t, self.data.y
+        if part[0] == "s":
+            return _augment(X, t.astype(float)), y
+        if part[0] == "arm":
+            rows = self.rows(part[1])
+        else:
+            rows = np.flatnonzero((t == part[3]) & (self.folds(part[1]) != part[2]))
+        return X[rows], y[rows]
+
+    # model and predictions inline the memo lookup: they sit on the
+    # bootstrap hot path, where every memo is new
+    def model(self, cfg: LearnerConfig, mode: str, umlr_route: str, part) -> FittedModel:
+        """The outcome model of ``part``; an anchored one wraps the plain fit."""
+        key = (cfg, mode, umlr_route if mode == "umlr" else "auto", part)
+        model = self._memo.get(key)
+        if model is None:
+            X, y = self._training(part)
+            base = lambda: self._get((cfg, "mlr", "auto", part), lambda: fit(cfg, X, y))  # noqa: E731
+            model = self._memo[key] = _fit_arm(cfg, mode, X, y, umlr_route, base)
+        return model
+
+    def predictions(self, cfg: LearnerConfig, mode: str, umlr_route: str, part) -> np.ndarray:
+        """The model of an arm part on every row, of a fold part on the fold's
+        held-out rows. An anchored model's are ``a + b *`` the plain fit's,
+        which is how the anchored model computes them."""
+        key = ("pred", cfg, mode, umlr_route if mode == "umlr" else "auto", part)
+        pred = self._memo.get(key)
+        if pred is None:
+            model = self.model(cfg, mode, umlr_route, part)
+            if model.anchor is not None:
+                a, b = model.anchor
+                pred = a + b * self.predictions(cfg, "mlr", "auto", part)
+            else:
+                X = self.data.X
+                pred = model.predict(X if part[0] == "arm" else X[self.folds(part[1]) == part[2]])
+            self._memo[key] = pred
+        return pred
+
+    def propensity(self, l2: float, clip, fold=None) -> PropensityModel:
+        """The full-data propensity fit, or the one that leaves out DML fold
+        ``fold = (folds, k)``."""
+        def make():
+            keep = slice(None) if fold is None else self.folds(fold[0]) != fold[1]
+            return fit_propensity(self.data.X[keep], self.data.t[keep], l2=l2, clip=clip)
+
+        return self._get(("prop", l2, tuple(clip), fold), make)
+
+
+def _check_arms(nuis: Nuisances, cfg: LearnerConfig) -> tuple[np.ndarray, np.ndarray]:
+    control, treated = nuis.rows(0), nuis.rows(1)
     need = max(5, cfg.min_leaf) if cfg.kind == "gbt" else 5
     if treated.size < need or control.size < need:
         raise InvalidInputError(
@@ -255,13 +356,12 @@ def outcome_regression_ate(data: Dataset, mu0, mu1) -> float:
     return float(np.mean(_predictions(mu1, data) - _predictions(mu0, data)))
 
 
-def _fit_arms(data: Dataset, cfg: LearnerConfig, mode: str, umlr_route: str,
-              with_diagnostics: bool):
-    """One outcome model per arm; returns (control rows, treated rows,
-    model0, model1, per-arm shrinkage reports or None)."""
-    control, treated = _check_arms(data, cfg)
-    model0 = _fit_arm(cfg, mode, data.X[control], data.y[control], umlr_route)
-    model1 = _fit_arm(cfg, mode, data.X[treated], data.y[treated], umlr_route)
+def _arm_models(data: Dataset, cfg: LearnerConfig, mode: str, umlr_route: str,
+                with_diagnostics: bool, nuis: Nuisances):
+    """One outcome model per arm from the memo; returns (control rows,
+    treated rows, model0, model1, per-arm shrinkage reports or None)."""
+    control, treated = _check_arms(nuis, cfg)
+    model0, model1 = [nuis.model(cfg, mode, umlr_route, ("arm", arm)) for arm in (0, 1)]
     diag = None
     if with_diagnostics:
         diag = {
@@ -272,16 +372,21 @@ def _fit_arms(data: Dataset, cfg: LearnerConfig, mode: str, umlr_route: str,
 
 
 def t_learner(data: Dataset, cfg: LearnerConfig, mode: str = "mlr",
-              umlr_route: str = "auto", with_diagnostics: bool = True):
+              umlr_route: str = "auto", with_diagnostics: bool = True,
+              nuis: Nuisances | None = None):
     """Per-arm outcome models; returns (model0, model1, estimate).
 
     In umlr mode each arm is anchored on its own outcome split;
     ``umlr_route`` picks exact constrained optimization ("constrained",
     the default for linear kinds) or the affine recalibration layer
-    ("anchored", always used for gbt).
+    ("anchored", always used for gbt). ``nuis``, a memo built on ``data``,
+    supplies the fits; a fresh one is used when it is omitted.
     """
-    _, _, model0, model1, diag = _fit_arms(data, cfg, mode, umlr_route, with_diagnostics)
-    point = outcome_regression_ate(data, model0, model1)
+    nuis = nuis or Nuisances(data)
+    _, _, model0, model1, diag = _arm_models(data, cfg, mode, umlr_route,
+                                             with_diagnostics, nuis)
+    mu0, mu1 = [nuis.predictions(cfg, mode, umlr_route, ("arm", arm)) for arm in (0, 1)]
+    point = outcome_regression_ate(data, mu0, mu1)
     est = AteEstimate(point=point, estimator="t_learner", mode=mode,
                       n_used=data.n, diagnostics=diag)
     return model0, model1, est
@@ -292,30 +397,34 @@ def _augment(X: np.ndarray, t_col: np.ndarray) -> np.ndarray:
 
 
 def s_learner(data: Dataset, cfg: LearnerConfig, mode: str = "mlr",
-              umlr_route: str = "auto", with_diagnostics: bool = True):
+              umlr_route: str = "auto", with_diagnostics: bool = True,
+              nuis: Nuisances | None = None):
     """Single model on [X, t] with a full-sample anchoring split in umlr
     mode; returns (model, estimate)."""
-    _check_arms(data, cfg)
-    Xa = _augment(data.X, data.t.astype(float))
-    model = _fit_arm(cfg, mode, Xa, data.y, umlr_route)
+    nuis = nuis or Nuisances(data)
+    _check_arms(nuis, cfg)
+    model = nuis.model(cfg, mode, umlr_route, ("s",))
     pred1 = model.predict(_augment(data.X, np.ones(data.n)))
     pred0 = model.predict(_augment(data.X, np.zeros(data.n)))
     point = float(np.mean(pred1 - pred0))
-    diag = {"mu": _safe_report(data.y, model.predict(Xa))} if with_diagnostics else None
+    diag = None
+    if with_diagnostics:
+        diag = {"mu": _safe_report(data.y, model.predict(_augment(data.X, data.t.astype(float))))}
     est = AteEstimate(point=point, estimator="s_learner", mode=mode,
                       n_used=data.n, diagnostics=diag)
     return model, est
 
 
 def x_learner(data: Dataset, cfg: LearnerConfig, mode: str, prop: PropensityModel,
-              umlr_route: str = "auto", with_diagnostics: bool = True) -> AteEstimate:
+              umlr_route: str = "auto", with_diagnostics: bool = True,
+              nuis: Nuisances | None = None) -> AteEstimate:
     """Two-stage pseudo-outcome learner with propensity-weighted blending.
 
     Anchoring applies to the stage-1 outcome models only; stage-2 models
     target pseudo-outcomes, not the observed outcome.
     """
-    control, treated, model0, model1, diag = _fit_arms(data, cfg, mode, umlr_route,
-                                                        with_diagnostics)
+    control, treated, model0, model1, diag = _arm_models(
+        data, cfg, mode, umlr_route, with_diagnostics, nuis or Nuisances(data))
     d_treated = data.y[treated] - model0.predict(data.X[treated])
     d_control = model1.predict(data.X[control]) - data.y[control]
     tau1 = fit(cfg, data.X[treated], d_treated)
@@ -362,22 +471,15 @@ def aipw(data: Dataset, mu0, mu1, prop, mode: str = "mlr") -> AteEstimate:
                        n_used=data.n)
 
 
-def _canonical_order(data: Dataset) -> np.ndarray:
-    """Row order determined by content only, so fold assignment is invariant
-    to permutations of the input rows."""
-    keys = [data.X[:, j] for j in range(data.p - 1, -1, -1)]
-    keys.append(data.y)
-    keys.append(data.t)
-    return np.lexsort(keys)
-
-
 def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
         l2: float = 1.0, clip=DEFAULT_CLIP, level: float = 0.95,
-        e_oracle=None, mu_oracle=None, umlr_route: str = "auto") -> AteEstimate:
+        e_oracle=None, mu_oracle=None, umlr_route: str = "auto",
+        nuis: Nuisances | None = None) -> AteEstimate:
     """K-fold cross-fitted AIPW with an analytic influence-function interval.
 
     Folds are dealt round-robin within each arm along a canonical row order,
-    so the estimate does not depend on how the input rows were arranged.
+    so the estimate does not depend on how the input rows were arranged, and
+    both modes share the memo's fold assignment and propensity fits.
     ``e_oracle`` (per-unit propensities) and ``mu_oracle`` (pair of per-unit
     oracle outcome-surface vectors) bypass nuisance fitting when supplied.
     """
@@ -385,14 +487,8 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
         raise InvalidInputError("cross-fitting needs folds >= 2")
     if folds > data.n:
         raise InvalidInputError("more folds than units")
-    order = _canonical_order(data)
-    fold_of = np.empty(data.n, dtype=np.int64)
-    offset = 0
-    for arm in (0, 1):
-        arm_rows = order[data.t[order] == arm]
-        # per-arm offset keeps folds evenly filled (folds = n is leave-one-out)
-        fold_of[arm_rows] = (np.arange(arm_rows.size) + offset) % folds
-        offset += arm_rows.size
+    nuis = nuis or Nuisances(data)
+    fold_of = nuis.folds(folds)
     e_all = None if e_oracle is None else _propensities(e_oracle, data)
     m_all = None
     if mu_oracle is not None:
@@ -403,8 +499,7 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
         test = fold_of == k
         if not np.any(test):
             continue
-        train = ~test
-        t_train = data.t[train]
+        t_train = data.t[~test]
         if np.count_nonzero(t_train == 0) < 2 or np.count_nonzero(t_train == 1) < 2:
             raise ResamplingError(
                 f"training part of fold {k} has fewer than 2 units in an arm"
@@ -413,26 +508,19 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
         if m_all is not None:
             m0, m1 = m_all[0][test], m_all[1][test]
         else:
-            X_tr, y_tr = data.X[train], data.y[train]
-            ctrl = t_train == 0
-            model0 = _fit_arm(cfg, mode, X_tr[ctrl], y_tr[ctrl], umlr_route)
-            model1 = _fit_arm(cfg, mode, X_tr[~ctrl], y_tr[~ctrl], umlr_route)
-            m0 = model0.predict(test_data.X)
-            m1 = model1.predict(test_data.X)
+            m0, m1 = [nuis.predictions(cfg, mode, umlr_route, ("fold", folds, k, arm))
+                      for arm in (0, 1)]
         if e_all is not None:
             e = e_all[test]
         else:
-            e = fit_propensity(data.X[train], t_train, l2=l2, clip=clip).predict_proba(
-                test_data.X
-            )
+            e = nuis.propensity(l2, clip, (folds, k)).predict_proba(test_data.X)
         scores[test] = aipw_scores(test_data, m0, m1, e)
 
     point = float(np.mean(scores))
     se = float(np.std(scores, ddof=1) / np.sqrt(data.n))
     z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
-    est = AteEstimate(point=point, estimator="dml", mode=mode, level=level,
-                      n_used=data.n)
-    return est.with_interval(point - z * se, point + z * se)
+    est = AteEstimate(point=point, estimator="dml", mode=mode, n_used=data.n)
+    return est.with_interval(point - z * se, point + z * se, level)
 
 
 # ---------------------------------------------------------------------------
@@ -459,50 +547,20 @@ def psm_att(data: Dataset, prop, caliper: float = 0.2) -> AteEstimate:
     t_order = treated[np.lexsort((treated, -logit[treated]))]
     c_order = control[np.lexsort((control, logit[control]))]
     c_logit = logit[c_order]
-    m = c_order.size
-    # doubly linked alive-list over sorted controls
-    nxt = np.arange(1, m + 1)
-    prv = np.arange(-1, m)
-
-    def remove(i: int):
-        if prv[i] >= 0:
-            nxt[prv[i]] = nxt[i]
-        if nxt[i] < m:
-            prv[nxt[i]] = prv[i]
-
+    alive = np.ones(c_order.size, dtype=bool)
     pairs = []
-    removed = np.zeros(m, dtype=bool)
     for ti in t_order:
-        target = logit[ti]
-        pos = int(np.searchsorted(c_logit, target))
-        # nearest alive on each side
-        right = pos
-        while right < m and removed[right]:
-            right = nxt[right]
-        left = pos - 1
-        while left >= 0 and removed[left]:
-            left = prv[left]
-        best = -1
-        if left >= 0 and right < m:
-            d_left = abs(target - c_logit[left])
-            d_right = abs(c_logit[right] - target)
-            if d_left < d_right:
-                best = left
-            elif d_right < d_left:
-                best = right
-            else:
-                best = left if c_order[left] < c_order[right] else right
-        elif left >= 0:
-            best = left
-        elif right < m:
-            best = right
-        if best < 0:
-            continue
-        if abs(c_logit[best] - target) > cal:
-            continue
-        removed[best] = True
-        remove(best)
-        pairs.append((ti, c_order[best]))
+        # the nearest alive control on each side of the unit's logit
+        live = np.flatnonzero(alive)
+        j = int(np.searchsorted(live, np.searchsorted(c_logit, logit[ti])))
+        near = live[max(j - 1, 0):j + 1]
+        if near.size == 0:
+            break
+        dist = np.abs(c_logit[near] - logit[ti])
+        k = np.lexsort((c_order[near], dist))[0]
+        if dist[k] <= cal:
+            alive[near[k]] = False
+            pairs.append((ti, c_order[near[k]]))
 
     if not pairs:
         raise NoMatchesError("no treated unit found a control within the caliper")
@@ -514,6 +572,50 @@ def psm_att(data: Dataset, prop, caliper: float = 0.2) -> AteEstimate:
 # ---------------------------------------------------------------------------
 # bootstrap confidence intervals
 # ---------------------------------------------------------------------------
+
+def check_bootstrap(B: int, level: float, method: str) -> None:
+    """Reject a bootstrap request before any resample is drawn."""
+    if B < 50:
+        raise InvalidInputError("need B >= 50 bootstrap resamples")
+    if not 0 < level < 1:
+        raise InvalidInputError("level must lie in (0, 1)")
+    check_choice("method", method, CI_METHODS)
+
+
+def resampled_points(data: Dataset, fns, B: int, seed: int):
+    """Each ``fn(resample, memo)`` on the B case resamples of ``data``, where
+    resample b draws its indices from a generator seeded with (seed, b) and
+    all fns share its :class:`Nuisances` memo. Returns, per fn, the points it
+    gave and its failed resamples counted by error class."""
+    points, failures = [[] for _ in fns], [Counter() for _ in fns]
+    for b in range(B):
+        sub = data.subset(np.random.default_rng((seed, b)).integers(0, data.n, size=data.n))
+        nuis = Nuisances(sub)
+        for fn, pts, failed in zip(fns, points, failures):
+            try:
+                pts.append(float(fn(sub, nuis)))
+            except UmlrError as exc:
+                failed[type(exc).__name__] += 1
+    return points, failures
+
+
+def bootstrap_interval(points: list[float], B: int, level: float, method: str, center,
+                       max_failure_rate: float = 0.10) -> tuple[float, float]:
+    """The interval from the points of the resamples that did not fail, or
+    :class:`UnstableBootstrapError` when more than ``max_failure_rate`` of
+    the B resamples failed; ``center()`` gives the normal form's centre."""
+    failures = B - len(points)
+    if failures > max_failure_rate * B:
+        raise UnstableBootstrapError(failures / B)
+    alpha = 1.0 - level
+    if method == "percentile":
+        lo, hi = np.quantile(points, [alpha / 2.0, 1.0 - alpha / 2.0])
+        return float(lo), float(hi)
+    mid = float(center())
+    sd = float(np.std(points, ddof=1))
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    return mid - z * sd, mid + z * sd
+
 
 def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
                  seed: int = 0, max_failure_rate: float = 0.10,
@@ -535,30 +637,10 @@ def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
     Raises :class:`UnstableBootstrapError` when the estimator fails on more
     than ``max_failure_rate`` of the resamples.
     """
-    if B < 50:
-        raise InvalidInputError("need B >= 50 bootstrap resamples")
-    if not 0 < level < 1:
-        raise InvalidInputError("level must lie in (0, 1)")
-    check_choice("method", method, CI_METHODS)
-    points = []
-    failures = 0
-    for b in range(B):
-        rng = np.random.default_rng((seed, b))
-        idx = rng.integers(0, data.n, size=data.n)
-        try:
-            points.append(float(estimator(data.subset(idx))))
-        except UmlrError:
-            failures += 1
-    if failures > max_failure_rate * B:
-        raise UnstableBootstrapError(failures / B)
-    alpha = 1.0 - level
-    if method == "percentile":
-        lo, hi = np.quantile(points, [alpha / 2.0, 1.0 - alpha / 2.0])
-        return float(lo), float(hi)
-    mid = float(estimator(data)) if center is None else float(center)
-    sd = float(np.std(points, ddof=1))
-    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    return mid - z * sd, mid + z * sd
+    check_bootstrap(B, level, method)
+    (points,), _ = resampled_points(data, [lambda sub, _: estimator(sub)], B, seed)
+    mid = (lambda: estimator(data)) if center is None else (lambda: center)
+    return bootstrap_interval(points, B, level, method, mid, max_failure_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +666,13 @@ class EstimatorSpec:
         check_choice("umlr_route", self.umlr_route, UMLR_ROUTES)
         check_clip(self.clip)
 
-    def propensity(self, data: Dataset) -> PropensityModel:
-        return fit_propensity(data.X, data.t, l2=self.propensity_l2, clip=self.clip)
-
 
 @dataclass(frozen=True)
 class Estimator:
-    """``run(data, spec, diagnostics=False)`` returns the AteEstimate (with
-    the outcome models' shrinkage reports if asked and available); an
-    ``analytic_interval`` estimator carries its own interval and is never
-    bootstrapped."""
+    """``run(data, spec, nuis, diagnostics=False)`` returns the AteEstimate
+    (with the outcome models' shrinkage reports if asked and available), its
+    fits taken from ``nuis``, the memo of ``data``; an ``analytic_interval``
+    estimator carries its own interval and is never bootstrapped."""
 
     run: Callable[..., AteEstimate]
     aliases: tuple[str, ...] = ()
@@ -601,38 +680,37 @@ class Estimator:
     modes: tuple[str, ...] = MODES
     analytic_interval: bool = False
 
-    def point(self, spec: EstimatorSpec) -> Callable[[Dataset], float]:
-        """The point estimate as a function of the data, for :func:`bootstrap_ci`."""
-        run = self.run
-        return lambda data: run(data, spec).point
+
+def _run_s(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    return s_learner(data, spec.learner, spec.mode, spec.umlr_route, diagnostics, nuis)[1]
 
 
-def _run_s(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
-    return s_learner(data, spec.learner, spec.mode, spec.umlr_route, diagnostics)[1]
+def _run_t(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    return t_learner(data, spec.learner, spec.mode, spec.umlr_route, diagnostics, nuis)[2]
 
 
-def _run_t(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
-    return t_learner(data, spec.learner, spec.mode, spec.umlr_route, diagnostics)[2]
+def _run_x(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    return x_learner(data, spec.learner, spec.mode,
+                     nuis.propensity(spec.propensity_l2, spec.clip),
+                     spec.umlr_route, diagnostics, nuis)
 
 
-def _run_x(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
-    return x_learner(data, spec.learner, spec.mode, spec.propensity(data),
-                     spec.umlr_route, diagnostics)
+def _run_aipw(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    _check_arms(nuis, spec.learner)
+    mu0, mu1 = [nuis.predictions(spec.learner, spec.mode, spec.umlr_route, ("arm", arm))
+                for arm in (0, 1)]
+    return aipw(data, mu0, mu1, nuis.propensity(spec.propensity_l2, spec.clip),
+                mode=spec.mode)
 
 
-def _run_aipw(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
-    m0, m1, _ = t_learner(data, spec.learner, spec.mode, spec.umlr_route,
-                          with_diagnostics=False)
-    return aipw(data, m0, m1, spec.propensity(data), mode=spec.mode)
-
-
-def _run_dml(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
+def _run_dml(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
     return dml(data, spec.learner, spec.mode, folds=spec.folds, l2=spec.propensity_l2,
-               clip=spec.clip, level=spec.level, umlr_route=spec.umlr_route)
+               clip=spec.clip, level=spec.level, umlr_route=spec.umlr_route, nuis=nuis)
 
 
-def _run_psm(data: Dataset, spec: EstimatorSpec, diagnostics: bool = False) -> AteEstimate:
-    return psm_att(data, spec.propensity(data), caliper=spec.caliper)
+def _run_psm(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    return psm_att(data, nuis.propensity(spec.propensity_l2, spec.clip),
+                   caliper=spec.caliper)
 
 
 ESTIMATORS = {

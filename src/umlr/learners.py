@@ -77,6 +77,12 @@ class LearnerConfig:
             raise InvalidInputError("learning_rate must be in (0, 1]")
         if self.min_leaf < 1 or self.max_depth < 1:
             raise InvalidInputError("min_leaf and max_depth must be >= 1")
+        object.__setattr__(self, "_hash", hash((self.kind, self.lam, self.n_trees, self.max_depth,
+                                                self.learning_rate, self.min_leaf,
+                                                self.lasso_max_sweeps)))
+
+    def __hash__(self):  # computed once: nuisance-memo keys hash the config often
+        return self._hash
 
 
 @dataclass(frozen=True)

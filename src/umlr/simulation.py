@@ -31,13 +31,12 @@ from .estimators import (
     DEFAULT_CLIP,
     ESTIMATORS,
     EstimatorSpec,
+    Nuisances,
     _expit,
-    _fit_arm,
     aipw,
     bootstrap_ci,
     check_choice,
     outcome_regression_ate,
-    t_learner,
 )
 from .learners import LearnerConfig
 
@@ -224,29 +223,30 @@ class McSummary:
 def _replicate_task(dgp: DgpConfig, cells, r: int, B: int, ci_method: str,
                     collect_slopes: bool):
     rep = generate_replicate(dgp, r)
+    nuis = Nuisances(rep.data)  # shared by every point estimate of the replicate
     out = []
-    for k, (name, spec, entry, point_fn) in enumerate(cells):
+    for k, (name, spec, entry) in enumerate(cells):
         row = {"rep": r, "estimator": name, "mode": spec.mode, "true_ate": rep.true_ate,
                "point": None, "ci_low": None, "ci_high": None, "error": None,
                "slope_out_1": None, "slope_out_0": None}
         try:
+            est = entry.run(rep.data, spec, nuis)
+            row["point"] = est.point
             if collect_slopes and name == "t_learner":
-                m0, m1, est = t_learner(rep.data, spec.learner, spec.mode,
-                                        spec.umlr_route, with_diagnostics=False)
+                m0, m1 = (nuis.model(spec.learner, spec.mode, spec.umlr_route, ("arm", arm))
+                          for arm in (0, 1))
                 try:
                     slopes = counterfactual_slopes(rep.data, rep.mu0_star, rep.mu1_star,
                                                    m0, m1)
                     row["slope_out_1"], row["slope_out_0"] = slopes.eta_1_0, slopes.eta_0_1
                 except UmlrError:
                     pass
-            else:
-                est = entry.run(rep.data, spec)
-            row["point"] = est.point
             if not entry.analytic_interval and B > 0:
                 ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + k
                 est = est.with_interval(*bootstrap_ci(
-                    rep.data, point_fn, B=B, level=spec.level, seed=ci_seed,
-                    method=ci_method, center=est.point))
+                    rep.data, lambda d: entry.run(d, spec, Nuisances(d)).point,
+                    B=B, level=spec.level, seed=ci_seed,
+                    method=ci_method, center=est.point), spec.level)
             row["ci_low"], row["ci_high"] = est.ci_low, est.ci_high
         except UmlrError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -287,7 +287,7 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
         entry = ESTIMATORS.get(name)
         if entry is None or mode not in entry.modes:
             raise InvalidInputError(f"no registered estimator {name!r} runs in mode {mode!r}")
-        cells.append((name, spec, entry, entry.point(spec)))
+        cells.append((name, spec, entry))
 
     task = lambda r: _replicate_task(dgp, cells, r, B, ci_method, collect_slopes)
     if workers > 1:
@@ -298,7 +298,7 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
 
     records = [row for rep_rows in per_rep for row in rep_rows]
     summaries = []
-    for k, (name, spec, _, _) in enumerate(cells):
+    for k, (name, spec, _) in enumerate(cells):
         mode = spec.mode
         rows = [per_rep[r][k] for r in range(reps)]
         ok = [row for row in rows if row["error"] is None]
@@ -423,20 +423,18 @@ def aipw_oracle_sweep(n_grid, sigma_grid, template: DgpConfig, reps: int,
             bias = {v: [] for v in variants}
             for r in range(reps):
                 rep = generate_replicate(cfg, r)
-                t = rep.data.t
-                ctrl, trt = t == 0, t == 1
+                nuis = Nuisances(rep.data)  # shared by the variants of the replicate
                 for v in variants:
                     if v == "po_mean_oracle":
                         point = float(np.mean(rep.y1 - rep.y0))
                     else:
                         mode = "umlr" if v.endswith("umlr") else "mlr"
                         preds = []
-                        for rows in (ctrl, trt):
-                            Xa, ya = rep.data.X[rows], rep.data.y[rows]
-                            overdetermined = mode == "umlr" and Xa.shape[0] > cfg.p + 2
-                            model = _fit_arm(ols if overdetermined else learner, mode,
-                                             Xa, ya, "anchored")
-                            preds.append(model.predict(rep.data.X))
+                        for arm in (0, 1):
+                            n_arm = np.count_nonzero(rep.data.t == arm)
+                            overdetermined = mode == "umlr" and n_arm > cfg.p + 2
+                            preds.append(nuis.predictions(ols if overdetermined else learner,
+                                                          mode, "anchored", ("arm", arm)))
                         point = aipw(rep.data, preds[0], preds[1], rep.e_star).point
                     bias[v].append(point - rep.true_ate)
             for v in variants:

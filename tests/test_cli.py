@@ -271,6 +271,46 @@ class TestEstimateCommand:
         for name in ("aipw", "psm_att"):
             assert abs(widths[0][name] - widths[1][name]) > 1e-3 * widths[0][name]
 
+    def test_every_row_carries_the_requested_level(self, tmp_path):
+        data = write_cohort(tmp_path / "cohort.csv", n=120, seed=3, confounding=1.0)
+        out = tmp_path / "est.json"
+        rc = main(["estimate", "--data", str(data), "--estimator", "s,t,x,aipw,dml,psm",
+                   "--mode", "mlr", "--bootstrap", "50", "--level", "0.8",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = json.loads(out.read_text())["results"]
+        assert len(rows) == 6
+        assert {row["estimator"]: row["level"] for row in rows} == dict.fromkeys(
+            ("s_learner", "t_learner", "x_learner", "aipw", "dml", "psm_att"), 0.8)
+
+    @staticmethod
+    def write_rare_cohort(path, n_treated, n=120):
+        """Only the first ``n_treated`` rows are treated, so some bootstrap
+        resamples draw fewer than the 5 treated units an arm model needs."""
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((n, 2))
+        t = (np.arange(n) < n_treated).astype(int)
+        y = 1.5 * t + X[:, 0] + 0.5 * rng.standard_normal(n)
+        rows = zip(y.tolist(), t.tolist(), X.tolist())
+        path.write_text("y,t,x1,x2\n" + "".join(f"{yi!r},{ti},{x[0]!r},{x[1]!r}\n"
+                                                 for yi, ti, x in rows))
+        return path
+
+    def test_rare_treatment_bootstrap_failures_are_reported(self, tmp_path, capsys):
+        args = ["--estimator", "t,aipw", "--mode", "both", "--bootstrap", "60"]
+        data = self.write_rare_cohort(tmp_path / "rare.csv", n_treated=10)
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--data", str(data), *args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["warnings"] == [
+            f"{row}: 3 of 60 bootstrap resamples failed (InvalidInputError)"
+            for row in ("t_learner/mlr", "t_learner/umlr", "aipw/mlr", "aipw/umlr")]
+        # 7 of 60 resamples (11.7 %) is past the 10 % limit: the first row fails the run
+        data = self.write_rare_cohort(tmp_path / "rarer.csv", n_treated=8)
+        assert main(["estimate", "--data", str(data), *args]) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"code": "unstable_bootstrap",
+                         "message": "estimator failed on 11.7% of bootstrap resamples"}
+
 
 class TestDiagnoseCommand:
     def test_perfect_predictions(self, tmp_path):

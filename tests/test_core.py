@@ -8,7 +8,6 @@ from umlr import (
     DegeneratePartitionError,
     InvalidInputError,
     SplitIndices,
-    center_outcome,
     partition_by_mean,
 )
 
@@ -62,36 +61,6 @@ class TestSplitIndices:
         s = SplitIndices(r1=[2, 0], r2=[1, 3])
         assert s.r1.tolist() == [0, 2]
         assert s.r2.tolist() == [1, 3]
-
-
-class TestCenterOutcome:
-    def test_basic(self):
-        c, m = center_outcome([1, 2, 3])
-        assert m == 2.0
-        assert np.allclose(c, [-1, 0, 1])
-
-    def test_already_centered(self):
-        c, m = center_outcome([0.0, 0.0])
-        assert m == 0.0
-        assert np.allclose(c, [0, 0])
-
-    def test_single_element(self):
-        c, m = center_outcome([5.0])
-        assert m == 5.0
-        assert np.allclose(c, [0.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            center_outcome([])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
-    def test_roundtrip_identity(self, values):
-        y = np.asarray(values)
-        c, m = center_outcome(y)
-        scale = max(np.max(np.abs(y)), 1.0)
-        assert abs(np.mean(c)) <= 1e-12 * scale
-        assert np.allclose(c + m, y, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestPartitionByMean:
