@@ -2,9 +2,10 @@
 
 The anchored ("umlr") fit forces the residual sums over the below-mean and
 above-mean outcome groups to zero. Linear learners solve the constrained
-problem exactly through its KKT system; tree ensembles get an exact affine
-recalibration layer a + b * f(x). Either way the training calibration slope
-returns to ~1, at the cost of a larger RMSE -- that trade is the point.
+problem exactly (ridge moves its plain solution along one direction until
+the constraints hold); tree ensembles get an exact affine recalibration
+layer a + b * f(x). Either way the training calibration slope returns to
+~1, at the cost of a larger RMSE -- that trade is the point.
 """
 
 import numpy as np
@@ -50,5 +51,8 @@ The constrained/anchored rows drive both group residual sums to ~0 (and
 with them the training slope to ~1). The affine route is the only tractable
 one for trees; for linear kinds both routes are available and behave
 differently out of distribution: the affine layer rescales every
-coefficient, the exact KKT solution adjusts only along cheap directions.
+coefficient, while the exact constrained ridge moves the plain solution
+along w = G^-1 u only, the direction in which meeting the constraint costs
+the least penalized loss (G is the penalized Gram matrix, u the low
+group's centred covariate sum).
 """)

@@ -301,7 +301,7 @@ def _cells(cfg: dict, learner: LearnerConfig,
            caliper: float = 0.2) -> list[tuple[str, EstimatorSpec]]:
     """(estimator, spec) pairs in report order: each selected estimator in
     each selected mode, or in its only mode if it has one (psm_att runs in
-    mlr mode whatever is selected). Every choice value and the clip are
+    mlr mode whatever is selected). Every choice and numeric knob is
     checked here, before any work runs."""
     check_choice("ci_method", cfg["ci_method"], CI_METHODS)
     check_choice("mode", cfg["mode"], (*MODES, "both"))

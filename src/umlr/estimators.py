@@ -649,8 +649,8 @@ def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Every knob a registered estimator reads. The choice values and the
-    clip are validated once, here, never per bootstrap resample."""
+    """Every knob a registered estimator reads, each validated once, here,
+    never per bootstrap resample."""
 
     learner: LearnerConfig
     mode: str = "mlr"
@@ -665,6 +665,13 @@ class EstimatorSpec:
         check_choice("mode", self.mode, MODES)
         check_choice("umlr_route", self.umlr_route, UMLR_ROUTES)
         check_clip(self.clip)
+        if not 0 < self.level < 1:  # the comparisons also reject nan
+            raise InvalidInputError(f"'level' must lie in (0, 1); got {self.level!r}")
+        if not self.folds >= 2:
+            raise InvalidInputError(f"'folds' must be >= 2; got {self.folds!r}")
+        for key in ("propensity_l2", "caliper"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise InvalidInputError(f"{key!r} must be finite and >= 0; got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ mean-anchoring constraints
     sum_{i in r1} (f(X_i) - y_i) = 0   and   sum_{i in r2} (f(X_i) - y_i) = 0
 
 over the below-mean / above-mean outcome groups (``umlr`` mode). Linear kinds
-solve the equality-constrained problem exactly through its stationarity
-(KKT) system; tree ensembles are anchored after the fact with an exact
+solve the equality-constrained problem exactly (ridge by a rank-1 correction
+of its plain solve); tree ensembles are anchored after the fact with an exact
 two-parameter affine layer a + b * f(x), which satisfies both constraints and
 counteracts linear shrinkage by inflating the calibration slope.
 
@@ -69,8 +69,8 @@ class LearnerConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidInputError(f"unknown learner kind {self.kind!r}; expected one of {_KINDS}")
-        if self.lam < 0:
-            raise InvalidInputError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:  # also rejects nan
+            raise InvalidInputError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.n_trees < 1:
             raise InvalidInputError("n_trees must be >= 1")
         if not 0 < self.learning_rate <= 1:
@@ -138,7 +138,7 @@ class FittedModel:
             if self.group_residual_sums is None or self.group_tol is None:
                 raise InvalidInputError("umlr model must carry residual group sums")
             s1, s2 = self.group_residual_sums
-            if abs(s1) > self.group_tol or abs(s2) > self.group_tol:
+            if not (abs(s1) <= self.group_tol and abs(s2) <= self.group_tol):  # nan fails
                 raise InvalidInputError(
                     f"anchoring constraints violated: |{s1:.3e}|, |{s2:.3e}| > {self.group_tol:.3e}"
                 )
@@ -189,15 +189,25 @@ def _validate_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedModel:
+def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray,
+               split: SplitIndices | None = None) -> FittedModel:
+    """Plain ridge, or with ``split`` ridge under both anchoring constraints.
+
+    The centred intercept ybar - xbar'b zeroes the total residual sum, so one
+    constraint is left: u'b = s with u = sum_{r1} (x_i - xbar) and
+    s = sum_{r1} (y_i - ybar). The plain solution moves along w = G^-1 u, a
+    second column of the same solve, until it holds.
+    """
     n, p = X.shape
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
     yc = y - y_mean
-    rhs = Xc.T @ yc
+    # with split, a second column: the indicator of r1, so that Xc' 1_r1 = u
+    target = yc if split is None else np.column_stack([yc, np.bincount(split.r1, minlength=n)])
+    rhs = Xc.T @ target
     if config.lam == 0.0:
-        coef, _, rank, _ = np.linalg.lstsq(Xc, yc, rcond=None)
+        sol, _, rank, _ = np.linalg.lstsq(Xc, target, rcond=None)
         if rank < p:
             raise SingularSystemError(
                 "design is rank-deficient and lam = 0; increase lam or drop columns"
@@ -205,16 +215,29 @@ def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
     else:
         G = Xc.T @ Xc + config.lam * np.eye(p)
         try:
-            coef = np.linalg.solve(G, rhs)
+            sol = np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
-        resid = G @ coef - rhs
-        scale = max(np.linalg.norm(rhs), np.linalg.norm(G @ coef), 1e-300)
-        if np.linalg.norm(resid) > RIDGE_RESID_TOL * scale:
+        fitted = G @ sol
+        scale = max(np.linalg.norm(rhs), np.linalg.norm(fitted), 1e-300)
+        if not np.linalg.norm(fitted - rhs) <= RIDGE_RESID_TOL * scale:  # nan fails
             raise SingularSystemError("penalized normal equations solved inaccurately")
-    intercept = y_mean - x_mean @ coef
-    return FittedModel(config=config, mode="mlr", p=p, n_train=n,
-                       coef=coef, intercept=float(intercept))
+    if split is None:
+        return FittedModel(config=config, mode="mlr", p=p, n_train=n,
+                           coef=sol, intercept=float(y_mean - x_mean @ sol))
+    (coef, w), u = sol.T, rhs[:, 1]
+    uw = u @ w
+    if not uw > 0.0:  # u = 0, so u'b = s < 0 has no solution
+        raise SingularSystemError("anchoring constraints infeasible: the below-mean group "
+                                  "has the covariate means of the whole sample")
+    coef = coef - w * ((u @ coef - yc[split.r1].sum()) / uw)
+    intercept = float(y_mean - x_mean @ coef)
+    sums = _group_sums(split, intercept + X @ coef, y)
+    tol = LINEAR_GROUP_TOL * n * max(float(np.sqrt(yc @ yc / n)), 1e-300)  # sd(y), cheaply
+    if not (abs(sums[0]) <= tol and abs(sums[1]) <= tol):
+        raise SingularSystemError("constrained ridge solution violates the anchoring constraints")
+    return FittedModel(config=config, mode="umlr", p=p, n_train=n, coef=coef,
+                       intercept=intercept, group_residual_sums=sums, group_tol=tol)
 
 
 def _soft_threshold(z: float, lam: float) -> float:
@@ -449,38 +472,6 @@ def anchor_recalibrate(base: FittedModel, X_train, y_train, split: SplitIndices)
     )
 
 
-def _fit_constrained_ridge(config, X, y, split) -> FittedModel:
-    n, p = X.shape
-    D = np.column_stack([np.ones(n), X])
-    H = 2.0 * (D.T @ D)
-    H[1:, 1:] += 2.0 * config.lam * np.eye(p)
-    A = np.zeros((2, p + 1))
-    for row, grp in enumerate((split.r1, split.r2)):
-        A[row, 0] = grp.size
-        A[row, 1:] = X[grp].sum(axis=0)
-    kkt = np.zeros((p + 3, p + 3))
-    kkt[: p + 1, : p + 1] = H
-    kkt[: p + 1, p + 1 :] = A.T
-    kkt[p + 1 :, : p + 1] = A
-    rhs = np.concatenate([2.0 * (D.T @ y), [y[split.r1].sum(), y[split.r2].sum()]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"constrained ridge KKT system singular: {exc}") from exc
-    intercept, coef = float(sol[0]), sol[1 : p + 1]
-    pred = intercept + X @ coef
-    sums = _group_sums(split, pred, y)
-    tol = LINEAR_GROUP_TOL * n * max(float(np.std(y)), 1e-300)
-    if abs(sums[0]) > tol or abs(sums[1]) > tol:
-        raise SingularSystemError(
-            "constrained ridge solution violates the anchoring constraints; "
-            "the constraint rows are numerically dependent"
-        )
-    return FittedModel(config=config, mode="umlr", p=p, n_train=n,
-                       coef=coef, intercept=intercept,
-                       group_residual_sums=sums, group_tol=tol)
-
-
 def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
     """Coordinate descent on the l1-penalized loss augmented with multiplier
     and quadratic terms for the two group-mean constraints, finished by one
@@ -574,9 +565,10 @@ def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
 def fit_constrained_linear(config: LearnerConfig, X, y, split: SplitIndices) -> FittedModel:
     """Fit ridge or lasso subject to both anchoring constraints (umlr mode).
 
-    Ridge solves the equality-constrained quadratic program exactly via its
-    KKT system; lasso runs method-of-multipliers coordinate descent and
-    finishes with one exact affine projection onto the constraint set.
+    Ridge corrects its plain solution along one direction of the same solve
+    (exact equality-constrained least squares); lasso runs method-of-multipliers
+    coordinate descent and finishes with one exact affine projection onto the
+    constraint set.
     """
     if config.kind not in ("ridge", "lasso"):
         raise InvalidInputError("constrained fitting applies to linear kinds; use "
@@ -584,5 +576,5 @@ def fit_constrained_linear(config: LearnerConfig, X, y, split: SplitIndices) -> 
     X, y = _validate_xy(X, y)
     _check_split(split, y.shape[0])
     if config.kind == "ridge":
-        return _fit_constrained_ridge(config, X, y, split)
+        return _fit_ridge(config, X, y, split)
     return _fit_constrained_lasso(config, X, y, split)

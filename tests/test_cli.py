@@ -150,6 +150,25 @@ class TestConfigFile:
         assert not out.exists()
 
 
+class TestNumericKnobs:
+    @pytest.mark.parametrize("command,flags", [
+        ("estimate", ["--estimator", "dml", "--mode", "mlr", "--level", "1.5"]),
+        ("simulate", ["--estimator", "dml", "--mode", "mlr", "--level", "1.5"]),
+        ("simulate", ["--estimator", "aipw", "--mode", "mlr", "--propensity-l2", "-1"]),
+        ("simulate", ["--estimator", "dml", "--mode", "mlr", "--folds", "1"]),
+        ("estimate", ["--estimator", "psm", "--caliper", "nan"]),
+        ("estimate", ["--estimator", "t", "--mode", "both", "--lam", "nan"]),
+        ("simulate", ["--estimator", "t", "--mode", "both", "--lam", "inf"]),
+    ])
+    def test_invalid_value_exits_3(self, tmp_path, command, flags):
+        args = [command, *flags, "--bootstrap", "0"]
+        if command == "estimate":
+            args += ["--data", str(write_cohort(tmp_path / "c.csv", n=80))]
+        else:
+            args += ["--n", "60", "--p", "4", "--s", "1", "--reps", "10"]
+        assert_contract_error(run_cli(args), "invalid_input")
+
+
 class TestSimulateCommand:
     def test_report_schema_and_determinism(self, tmp_path):
         args = ["simulate", "--n", "100", "--p", "4", "--s", "2", "--reps", "10",

@@ -1,10 +1,12 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from umlr import (
     ConvergenceError,
+    FittedModel,
     InvalidInputError,
     LearnerConfig,
     RecalibrationSingularError,
@@ -392,6 +394,166 @@ class TestConstrainedLinear:
             tol = LINEAR_GROUP_TOL * n * np.std(y)
             assert abs(s1) <= tol and abs(s2) <= tol
             assert m.mode == "umlr"
+
+
+def _ridge_n_gt_p():
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((60, 5))
+    y = X @ np.array([1.0, -2.0, 0.5, 0.0, 0.25]) + 0.5 * rng.standard_normal(60) + 3.0
+    return X, y, 2.5
+
+
+def _ridge_p_gt_n():
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((12, 16))
+    y = X[:, :3] @ np.array([1.5, -1.0, 0.5]) + 0.3 * rng.standard_normal(12)
+    return X, y, 0.7
+
+
+def _ridge_lam_zero():
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((30, 4))
+    y = X @ np.array([0.3, 0.0, -1.2, 2.0]) + rng.standard_normal(30) - 1.0
+    return X, y, 0.0
+
+
+# Pinned plain ridge solutions (coefficients, intercept). The constrained fit
+# shares this solve; it must not move the plain one by a single bit.
+RIDGE_GOLDEN = {
+    "n_gt_p": (
+        _ridge_n_gt_p,
+        [0.9236887683310734, -1.994178892491618, 0.4018928591117356, -0.007644980533008779,
+         0.29367201634973494],
+        3.0132423805718505,
+    ),
+    "p_gt_n": (
+        _ridge_p_gt_n,
+        [0.5121987030271035, -0.03929567871072392, 0.18540691366014656, -0.11637399318220379,
+         -0.12920529641008777, -0.06772156779576932, 0.3589446660507658, 0.008127314050055663,
+         0.17788876021219965, -0.056515303656231385, 0.488945124155348, -0.1938741053933999,
+         -0.22734868123401702, 0.1330181666201728, 0.1616260151835386, 0.1024441443780571],
+        0.7436807781262358,
+    ),
+    "lam_zero": (
+        _ridge_lam_zero,
+        [0.28256050565036195, 0.05141891632707374, -1.3595078461838326, 2.0272341762809445],
+        -1.1904123980272154,
+    ),
+}
+
+
+class TestRidgeGolden:
+    @pytest.mark.parametrize("case", sorted(RIDGE_GOLDEN))
+    def test_plain_fit_exact(self, case):
+        make, coef, intercept = RIDGE_GOLDEN[case]
+        X, y, lam = make()
+        m = fit(LearnerConfig(kind="ridge", lam=lam), X, y)
+        assert np.array_equal(m.coef, coef)
+        assert m.intercept == intercept
+
+
+def exact_constrained_ridge(X, y, lam, split) -> list[Fraction]:
+    """Intercept then coefficients of the ridge fit under both anchoring
+    constraints, from its stationarity system solved in exact rational
+    arithmetic (Gauss-Jordan on the floats' exact values)."""
+    n, p = X.shape
+    D = [[Fraction(1)] + [Fraction(float(v)) for v in row] for row in X]
+    yy = [Fraction(float(v)) for v in y]
+    m = p + 3
+    K = [[Fraction(0)] * (m + 1) for _ in range(m)]
+    for i in range(p + 1):
+        for j in range(p + 1):
+            K[i][j] = 2 * sum(D[r][i] * D[r][j] for r in range(n))
+        if i > 0:
+            K[i][i] += 2 * Fraction(lam)
+        K[i][m] = 2 * sum(D[r][i] * yy[r] for r in range(n))
+    for g, rows in enumerate((split.r1.tolist(), split.r2.tolist())):
+        for j in range(p + 1):
+            K[p + 1 + g][j] = K[j][p + 1 + g] = sum(D[r][j] for r in rows)
+        K[p + 1 + g][m] = sum(yy[r] for r in rows)
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if K[r][c] != 0)
+        K[c], K[pivot] = K[pivot], K[c]
+        for r in range(m):
+            if r != c and K[r][c] != 0:
+                f = K[r][c] / K[c][c]
+                K[r] = [a - f * b for a, b in zip(K[r], K[c])]
+    return [K[i][m] / K[i][i] for i in range(p + 1)]
+
+
+def assert_matches_exact(X, y, lam):
+    split = partition_by_mean(y)
+    m = fit_constrained_linear(LearnerConfig(kind="ridge", lam=lam), X, y, split)
+    ref = np.array([float(v) for v in exact_constrained_ridge(X, y, lam, split)])
+    got = np.concatenate([[m.intercept], m.coef])
+    assert np.all(np.abs(got - ref) <= 1e-10 * (1.0 + np.abs(ref))), (got, ref)
+
+
+class TestConstrainedRidgeExact:
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 25.0, 1e4])
+    def test_matches_exact_solution(self, lam):
+        rng = np.random.default_rng(int(lam * 10) + 7)
+        for _ in range(12):
+            n, p = int(rng.integers(6, 26)), int(rng.integers(1, 4))
+            X = rng.standard_normal((n, p)) * rng.choice([0.01, 1.0, 10.0])
+            y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+            assert_matches_exact(X, y, lam)
+
+    @pytest.mark.parametrize("lam", [1e6, 1e7, 1e8])
+    def test_one_covariate_pinned_by_the_constraint_at_any_lam(self, lam):
+        # with p = 1 the single constraint u * b = s fixes b = s / u whatever
+        # the penalty; a huge lam must neither raise nor drift
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 1))
+        y = 0.7 * X[:, 0] + rng.standard_normal(40)
+        assert_matches_exact(X, y, lam)
+
+    @pytest.mark.parametrize("lam", [0.5, 10.0])
+    def test_constant_column_has_no_feasible_fit(self, lam):
+        # u = 0: the below-mean group's covariate sum cannot move, while its
+        # outcome sum s is negative
+        X = np.full((10, 1), 3.0)
+        y = np.arange(10.0)
+        with pytest.raises(SingularSystemError):
+            fit_constrained_linear(LearnerConfig(kind="ridge", lam=lam), X, y,
+                                   partition_by_mean(y))
+
+    def test_rank_deficient_design_at_lam_zero_raises_in_both_modes(self):
+        rng = np.random.default_rng(12)
+        square = rng.standard_normal((5, 5))  # centring leaves rank n - 1 < p
+        duplicated = rng.standard_normal((8, 3))
+        duplicated[:, 2] = duplicated[:, 0]
+        for X in (square, duplicated):
+            y = rng.standard_normal(X.shape[0])
+            with pytest.raises(SingularSystemError):
+                fit(RIDGE0, X, y)
+            with pytest.raises(SingularSystemError):
+                fit_constrained_linear(RIDGE0, X, y, partition_by_mean(y))
+
+    def test_overflowing_design_raises(self):
+        # the penalized normal equations overflow to a nan solution
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((30, 2)) * 1e160
+        y = rng.standard_normal(30)
+        cfg = LearnerConfig(kind="ridge", lam=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularSystemError):
+                fit(cfg, X, y)
+            with pytest.raises(SingularSystemError):
+                fit_constrained_linear(cfg, X, y, partition_by_mean(y))
+
+
+class TestNonFiniteGuards:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_lam_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(InvalidInputError, match="lam"):
+            LearnerConfig(kind="ridge", lam=lam)
+
+    def test_nan_group_sum_is_not_an_anchored_model(self):
+        with pytest.raises(InvalidInputError, match="anchoring constraints"):
+            FittedModel(config=LearnerConfig(), mode="umlr", p=1, n_train=2,
+                        coef=np.array([1.0]), intercept=0.0,
+                        group_residual_sums=(float("nan"), 0.0), group_tol=1e-8)
 
 
 class TestAnchorRecalibrate:
