@@ -8,6 +8,11 @@ the rest of the document byte for byte. CSV and plot exports are flat
 projections of the same data. All file writes are atomic
 (write-temp-then-rename).
 
+Each simulate/estimate option is one key of an option table: ``--key-name``
+as a flag, ``key_name`` or ``key-name`` in a ``key = value`` config file,
+and ``config.key_name`` in the report. Every knob is checked before any
+work runs.
+
 Exit codes: 0 success; 2 usage or configuration error; 3 input/validation
 error, including a file that cannot be read or written; 4 numerical or
 estimation error. On failure a machine-readable
@@ -38,11 +43,13 @@ from .estimators import (
     EstimatorSpec,
     Nuisances,
     bootstrap_interval,
+    check_at_least,
     check_bootstrap,
     check_choice,
+    check_nonnegative,
     resampled_points,
 )
-from .learners import LearnerConfig
+from .learners import _KINDS, LearnerConfig
 from .simulation import DgpConfig, run_monte_carlo
 
 SCHEMA = "v1"
@@ -180,30 +187,41 @@ def load_csv(path: str, outcome_col: str, treatment_col: str,
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_learner_args(p: argparse.ArgumentParser):
-    p.add_argument("--learner", choices=("ridge", "lasso", "gbt"), default=None)
-    p.add_argument("--lam", type=float, default=None, help="regularization weight")
-    p.add_argument("--trees", type=int, default=None, help="gbt boosting rounds")
-    p.add_argument("--depth", type=int, default=None, help="gbt max tree depth")
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--min-leaf", type=int, default=None)
+# config key -> (default, choices, help); the flag is typed by the default
+_OPTIONS = {
+    "estimator": ("t", None, f"comma list of {_SHORT_NAMES}"),
+    "mode": ("both", (*MODES, "both"), None),
+    "umlr_route": ("auto", UMLR_ROUTES, None),
+    "bootstrap": (200, None, "bootstrap resamples B"),
+    "ci_method": ("normal", CI_METHODS, None),
+    "level": (0.95, None, None),
+    "folds": (5, None, None),
+    "propensity_l2": (1.0, None, None),
+    "clip_lo": (0.01, None, "lower propensity clipping bound"),
+    "clip_hi": (0.99, None, None),
+    "seed": (0, None, None),
+    "learner": ("ridge", _KINDS, None),
+    "lam": (1.0, None, "regularization weight"),
+    "trees": (200, None, "gbt boosting rounds"),
+    "depth": (3, None, "gbt max tree depth"),
+    "learning_rate": (0.1, None, None),
+    "min_leaf": (5, None, None),
+}
+_SIMULATE_OPTIONS = {
+    **_OPTIONS,
+    **{f.name: (f.default, None, None) for f in dataclasses.fields(DgpConfig)
+       if f.name not in ("shared_noise", "seed")},  # no flag; seed is common
+    "reps": (100, None, None),
+    "workers": (1, None, "worker threads (default: env UMLR_WORKERS or 1)"),
+}
+_ESTIMATE_OPTIONS = {**_OPTIONS, "caliper": (0.2, None, "PSM caliper multiplier")}
 
 
-def _add_common_args(p: argparse.ArgumentParser):
+def _add_options(p: argparse.ArgumentParser, options: dict):
     p.add_argument("--config", default=None, help="key = value config file; flags override")
-    p.add_argument("--estimator", default=None,
-                   help=f"comma list of {_SHORT_NAMES}")
-    p.add_argument("--mode", choices=(*MODES, "both"), default=None)
-    p.add_argument("--umlr-route", choices=UMLR_ROUTES, default=None)
-    p.add_argument("--bootstrap", type=int, default=None, help="bootstrap resamples B")
-    p.add_argument("--ci-method", choices=CI_METHODS, default=None)
-    p.add_argument("--level", type=float, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--propensity-l2", type=float, default=None)
-    p.add_argument("--clip-lo", type=float, default=None,
-                   help="lower propensity clipping bound")
-    p.add_argument("--clip-hi", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for key, (default, choices, text) in options.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), choices=choices,
+                       default=None, help=text)
     p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p.add_argument("--csv-out", default=None,
                    help="also write the results table as flat CSV")
@@ -215,33 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="Monte-Carlo study on synthetic data")
-    _add_common_args(sim)
-    _add_learner_args(sim)
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--p", type=int, default=None)
-    sim.add_argument("--s", type=int, default=None, help="active components per block")
-    sim.add_argument("--sigma", type=float, default=None)
-    sim.add_argument("--mu1", type=float, default=None)
-    sim.add_argument("--mu0", type=float, default=None)
-    sim.add_argument("--beta-scale", type=float, default=None)
-    sim.add_argument("--gamma-scale", type=float, default=None)
-    sim.add_argument("--effect-scale", type=float, default=None)
-    sim.add_argument("--confound-sign", type=float, default=None)
-    sim.add_argument("--reps", type=int, default=None)
-    sim.add_argument("--workers", type=int, default=None,
-                     help="worker threads (default: env UMLR_WORKERS or 1)")
+    _add_options(sim, _SIMULATE_OPTIONS)
     sim.add_argument("--per-replicate", default=None,
                      help="also write per-replicate records to this CSV")
 
     est = sub.add_parser("estimate", help="estimate ATE from a CSV dataset")
-    _add_common_args(est)
-    _add_learner_args(est)
+    _add_options(est, _ESTIMATE_OPTIONS)
     est.add_argument("--data", required=True, help="CSV with header row")
     est.add_argument("--outcome-col", default="y")
     est.add_argument("--treatment-col", default="t")
     est.add_argument("--covariate-cols", default="all-others",
                      help='comma list of columns, or "all-others"')
-    est.add_argument("--caliper", type=float, default=None, help="PSM caliper multiplier")
 
     dia = sub.add_parser("diagnose", help="shrinkage report for a (y, yhat) file")
     dia.add_argument("--pred-file", required=True, help="CSV with y and yhat columns")
@@ -253,24 +255,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """File < flags < nothing: start from defaults, overlay config file, then
-    any flag the user actually passed."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        file_cfg = load_config_file(args.config)
-        for key, raw in file_cfg.items():
-            if key not in defaults:
+def _merge_config(args: argparse.Namespace, options: dict, **defaults) -> dict:
+    """Defaults < config file < flags: start from the table's defaults (or
+    those given), overlay the config file, then any flag actually passed."""
+    resolved = {key: default for key, (default, _, _) in options.items()} | defaults
+    if args.config:
+        for key, raw in load_config_file(args.config).items():
+            if key not in options:
                 raise InvalidInputError(f"unknown config key {key!r}")
-            kind = type(defaults[key])  # int, float or str
+            default, choices, _ = options[key]
+            kind = type(default)  # int, float or str
             try:
                 resolved[key] = kind(raw)
             except ValueError:
                 raise InvalidInputError(
                     f"config key {key!r} must be {kind.__name__}, got {raw!r}"
                 ) from None
-    for key in defaults:
-        val = getattr(args, key, None)
+            if choices:
+                check_choice(key, resolved[key], choices)
+    for key in options:
+        val = getattr(args, key)
         if val is not None:
             resolved[key] = val
     return resolved
@@ -286,27 +290,20 @@ def _parse_estimators(spec: str) -> list[str]:
     return [_ALIASES[token] for token in tokens]
 
 
-def _learner_from(resolved: dict) -> LearnerConfig:
-    return LearnerConfig(
-        kind=resolved["learner"],
-        lam=resolved["lam"],
-        n_trees=resolved["trees"],
-        max_depth=resolved["depth"],
-        learning_rate=resolved["learning_rate"],
-        min_leaf=resolved["min_leaf"],
-    )
+def _learner_from(cfg: dict) -> LearnerConfig:
+    return LearnerConfig(kind=cfg["learner"], lam=cfg["lam"], n_trees=cfg["trees"],
+                         max_depth=cfg["depth"], learning_rate=cfg["learning_rate"],
+                         min_leaf=cfg["min_leaf"])
 
 
-def _cells(cfg: dict, learner: LearnerConfig,
-           caliper: float = 0.2) -> list[tuple[str, EstimatorSpec]]:
+def _cells(cfg: dict, learner: LearnerConfig) -> list[tuple[str, EstimatorSpec]]:
     """(estimator, spec) pairs in report order: each selected estimator in
     each selected mode, or in its only mode if it has one (psm_att runs in
-    mlr mode whatever is selected). Every choice and numeric knob is
-    checked here, before any work runs."""
-    check_choice("ci_method", cfg["ci_method"], CI_METHODS)
-    check_choice("mode", cfg["mode"], (*MODES, "both"))
+    mlr mode whatever is selected). Building the specs checks every
+    estimator knob, before any work runs."""
     base = EstimatorSpec(learner, "mlr", cfg["umlr_route"], cfg["propensity_l2"],
-                         (cfg["clip_lo"], cfg["clip_hi"]), cfg["folds"], cfg["level"], caliper)
+                         (cfg["clip_lo"], cfg["clip_hi"]), cfg["folds"], cfg["level"],
+                         cfg.get("caliper", EstimatorSpec.caliper))
     selected = [dataclasses.replace(base, mode=mode)
                 for mode in (MODES if cfg["mode"] == "both" else (cfg["mode"],))]
     cells = []
@@ -315,27 +312,6 @@ def _cells(cfg: dict, learner: LearnerConfig,
         cells += ([(name, spec) for spec in selected] if len(modes) > 1
                   else [(name, dataclasses.replace(base, mode=modes[0]))])
     return cells
-
-
-_COMMON_DEFAULTS = {
-    "estimator": "t",
-    "mode": "both",
-    "umlr_route": "auto",
-    "bootstrap": 200,
-    "ci_method": "normal",
-    "level": 0.95,
-    "folds": 5,
-    "propensity_l2": 1.0,
-    "clip_lo": 0.01,
-    "clip_hi": 0.99,
-    "seed": 0,
-    "learner": "ridge",
-    "lam": 1.0,
-    "trees": 200,
-    "depth": 3,
-    "learning_rate": 0.1,
-    "min_leaf": 5,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +327,7 @@ def _env_workers() -> int:
 
 
 def _cmd_simulate(args) -> dict:
-    dgp_defaults = {f.name: f.default for f in dataclasses.fields(DgpConfig)
-                    if f.name not in ("shared_noise", "seed")}  # no flag; seed is common
-    cfg = _merge_config(args, dict(_COMMON_DEFAULTS, **dgp_defaults, reps=100,
-                                   workers=_env_workers()))
+    cfg = _merge_config(args, _SIMULATE_OPTIONS, workers=_env_workers())
     dgp = DgpConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(DgpConfig)
                        if f.name in cfg})
     learner = _learner_from(cfg)
@@ -390,8 +363,15 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_estimate(args) -> dict:
-    cfg = _merge_config(args, dict(_COMMON_DEFAULTS, caliper=0.2))
-    cells = _cells(cfg, _learner_from(cfg), cfg["caliper"])
+    cfg = _merge_config(args, _ESTIMATE_OPTIONS)
+    cells = _cells(cfg, _learner_from(cfg))
+    B, warnings = cfg["bootstrap"], []
+    check_nonnegative("bootstrap", B)
+    check_at_least("seed", cfg["seed"], 0)
+    boot = [(k, ESTIMATORS[name].run, spec) for k, (name, spec) in enumerate(cells)
+            if B > 0 and not ESTIMATORS[name].analytic_interval]
+    if boot:
+        check_bootstrap(B, cfg["level"], cfg["ci_method"])
     covs = args.covariate_cols
     if covs != "all-others":
         covs = [c.strip() for c in covs.split(",") if c.strip()]
@@ -400,11 +380,7 @@ def _cmd_estimate(args) -> dict:
     # one memo serves every row's point; in the bootstrap, one per resample
     nuis = Nuisances(data)
     ests = [ESTIMATORS[name].run(data, spec, nuis, diagnostics=True) for name, spec in cells]
-    B, warnings = cfg["bootstrap"], []
-    boot = [(k, ESTIMATORS[name].run, spec) for k, (name, spec) in enumerate(cells)
-            if B > 0 and not ESTIMATORS[name].analytic_interval]
     if boot:
-        check_bootstrap(B, cfg["level"], cfg["ci_method"])
         fns = [lambda sub, memo, run=run, spec=spec: run(sub, spec, memo).point
                for _, run, spec in boot]
         points, failures = resampled_points(data, fns, B, cfg["seed"])

@@ -68,12 +68,41 @@ DEFAULT_CLIP = (0.01, 0.99)
 MODES = ("mlr", "umlr")
 UMLR_ROUTES = ("auto", "constrained", "anchored")
 CI_METHODS = ("normal", "percentile")
+BOOTSTRAP_MAX_FAILURE_RATE = 0.10  # of the B resamples, before an interval is refused
+PROPENSITY_MAX_ITER = 100  # Newton steps
+PROPENSITY_GRAD_TOL = 1e-8
 
 
+# one check per knob, called by each reader of it; nan fails every comparison
 def check_choice(key: str, value, choices) -> None:
     """Reject ``value`` unless it is one of ``choices``, naming the key."""
     if value not in choices:
         raise InvalidInputError(f"{key!r} must be one of {', '.join(choices)}; got {value!r}")
+
+
+def check_at_least(key: str, value, low) -> None:
+    """Reject ``value`` unless it is >= ``low``, naming the key."""
+    if not value >= low:
+        raise InvalidInputError(f"{key!r} must be >= {low}; got {value!r}")
+
+
+def check_nonnegative(key: str, value) -> None:
+    """Reject ``value`` unless it is finite and >= 0, naming the key."""
+    if not 0 <= value < np.inf:
+        raise InvalidInputError(f"{key!r} must be finite and >= 0; got {value!r}")
+
+
+def check_level(level) -> None:
+    """Reject a confidence level outside (0, 1)."""
+    if not 0 < level < 1:
+        raise InvalidInputError(f"'level' must lie in (0, 1); got {level!r}")
+
+
+def check_clip(clip) -> None:
+    """Reject propensity clipping bounds outside 0 < lo < hi < 1."""
+    lo, hi = clip
+    if not 0 < lo < hi < 1:
+        raise InvalidInputError("clip bounds must satisfy 0 < lo < hi < 1")
 
 
 @dataclass(frozen=True)
@@ -94,8 +123,7 @@ class AteEstimate:
     diagnostics: dict[str, SpbReport] | None = field(default=None)
 
     def __post_init__(self):
-        if not 0 < self.level < 1:
-            raise InvalidInputError("level must lie in (0, 1)")
+        check_level(self.level)
         if (self.ci_low is None) != (self.ci_high is None):
             raise InvalidInputError("ci_low and ci_high must be set together")
         if self.ci_low is not None and self.ci_low > self.ci_high:
@@ -121,13 +149,6 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_clip(clip) -> None:
-    """Reject propensity clipping bounds outside 0 < lo < hi < 1."""
-    lo, hi = clip
-    if not 0 < lo < hi < 1:
-        raise InvalidInputError("clip bounds must satisfy 0 < lo < hi < 1")
-
-
 @dataclass(frozen=True)
 class PropensityModel:
     """L2-penalized logistic model of treatment given covariates."""
@@ -147,8 +168,7 @@ class PropensityModel:
         return np.clip(_expit(self.logit(X)), self.clip[0], self.clip[1])
 
 
-def fit_propensity(X, t, l2: float = 1.0, clip=DEFAULT_CLIP,
-                   max_iter: int = 100, grad_tol: float = 1e-8) -> PropensityModel:
+def fit_propensity(X, t, l2: float = 1.0, clip=DEFAULT_CLIP) -> PropensityModel:
     """Damped-Newton fit of a logistic propensity model.
 
     The intercept is unpenalized. With ``l2 = 0`` and separable classes the
@@ -159,8 +179,8 @@ def fit_propensity(X, t, l2: float = 1.0, clip=DEFAULT_CLIP,
     t = np.asarray(t, dtype=float)
     if X.ndim != 2 or t.ndim != 1 or t.shape[0] != X.shape[0]:
         raise InvalidInputError("X must be (n, p) and t length n")
-    if l2 < 0:
-        raise InvalidInputError("l2 must be >= 0")
+    check_nonnegative("l2", l2)
+    check_clip(clip)
     classes = np.unique(t)
     if not np.all(np.isin(classes, (0.0, 1.0))) or classes.size < 2:
         raise InvalidInputError("t must contain both classes 0 and 1")
@@ -175,11 +195,11 @@ def fit_propensity(X, t, l2: float = 1.0, clip=DEFAULT_CLIP,
         return float(np.logaddexp(0.0, z).sum() - t @ z + 0.5 * pen @ th**2)
 
     obj = objective(theta)
-    for _ in range(max_iter):
+    for _ in range(PROPENSITY_MAX_ITER):
         z = D @ theta
         prob = _expit(z)
         grad = D.T @ (prob - t) + pen * theta
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < PROPENSITY_GRAD_TOL:
             separated = np.all((2.0 * t - 1.0) * z > 0) and np.max(np.abs(z)) > 10.0
             if l2 == 0.0 and separated:
                 # saturated logits silence the gradient under separation;
@@ -483,8 +503,8 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
     ``e_oracle`` (per-unit propensities) and ``mu_oracle`` (pair of per-unit
     oracle outcome-surface vectors) bypass nuisance fitting when supplied.
     """
-    if folds < 2:
-        raise InvalidInputError("cross-fitting needs folds >= 2")
+    check_at_least("folds", folds, 2)
+    check_level(level)
     if folds > data.n:
         raise InvalidInputError("more folds than units")
     nuis = nuis or Nuisances(data)
@@ -534,6 +554,7 @@ def psm_att(data: Dataset, prop, caliper: float = 0.2) -> AteEstimate:
     Treated units are matched in descending propensity order, ties broken by
     original index; equidistant controls resolve to the lower original index.
     """
+    check_nonnegative("caliper", caliper)
     treated = data.arm_indices(1)
     if treated.size == 0:
         raise InvalidInputError("no treated units to match")
@@ -575,10 +596,8 @@ def psm_att(data: Dataset, prop, caliper: float = 0.2) -> AteEstimate:
 
 def check_bootstrap(B: int, level: float, method: str) -> None:
     """Reject a bootstrap request before any resample is drawn."""
-    if B < 50:
-        raise InvalidInputError("need B >= 50 bootstrap resamples")
-    if not 0 < level < 1:
-        raise InvalidInputError("level must lie in (0, 1)")
+    check_at_least("B", B, 50)
+    check_level(level)
     check_choice("method", method, CI_METHODS)
 
 
@@ -587,6 +606,7 @@ def resampled_points(data: Dataset, fns, B: int, seed: int):
     resample b draws its indices from a generator seeded with (seed, b) and
     all fns share its :class:`Nuisances` memo. Returns, per fn, the points it
     gave and its failed resamples counted by error class."""
+    check_at_least("seed", seed, 0)
     points, failures = [[] for _ in fns], [Counter() for _ in fns]
     for b in range(B):
         sub = data.subset(np.random.default_rng((seed, b)).integers(0, data.n, size=data.n))
@@ -599,13 +619,13 @@ def resampled_points(data: Dataset, fns, B: int, seed: int):
     return points, failures
 
 
-def bootstrap_interval(points: list[float], B: int, level: float, method: str, center,
-                       max_failure_rate: float = 0.10) -> tuple[float, float]:
+def bootstrap_interval(points: list[float], B: int, level: float, method: str,
+                       center) -> tuple[float, float]:
     """The interval from the points of the resamples that did not fail, or
-    :class:`UnstableBootstrapError` when more than ``max_failure_rate`` of
-    the B resamples failed; ``center()`` gives the normal form's centre."""
+    :class:`UnstableBootstrapError` when more than BOOTSTRAP_MAX_FAILURE_RATE
+    of the B resamples failed; ``center()`` gives the normal form's centre."""
     failures = B - len(points)
-    if failures > max_failure_rate * B:
+    if failures > BOOTSTRAP_MAX_FAILURE_RATE * B:
         raise UnstableBootstrapError(failures / B)
     alpha = 1.0 - level
     if method == "percentile":
@@ -618,8 +638,7 @@ def bootstrap_interval(points: list[float], B: int, level: float, method: str, c
 
 
 def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
-                 seed: int = 0, max_failure_rate: float = 0.10,
-                 method: str = "percentile",
+                 seed: int = 0, method: str = "percentile",
                  center: float | None = None) -> tuple[float, float]:
     """Case-resampling bootstrap interval for a point estimator.
 
@@ -635,12 +654,12 @@ def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
     defaults to the estimator evaluated on ``data``).
 
     Raises :class:`UnstableBootstrapError` when the estimator fails on more
-    than ``max_failure_rate`` of the resamples.
+    than :data:`BOOTSTRAP_MAX_FAILURE_RATE` of the resamples.
     """
     check_bootstrap(B, level, method)
     (points,), _ = resampled_points(data, [lambda sub, _: estimator(sub)], B, seed)
     mid = (lambda: estimator(data)) if center is None else (lambda: center)
-    return bootstrap_interval(points, B, level, method, mid, max_failure_rate)
+    return bootstrap_interval(points, B, level, method, mid)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +684,12 @@ class EstimatorSpec:
         check_choice("mode", self.mode, MODES)
         check_choice("umlr_route", self.umlr_route, UMLR_ROUTES)
         check_clip(self.clip)
-        if not 0 < self.level < 1:  # the comparisons also reject nan
-            raise InvalidInputError(f"'level' must lie in (0, 1); got {self.level!r}")
-        if not self.folds >= 2:
-            raise InvalidInputError(f"'folds' must be >= 2; got {self.folds!r}")
-        for key in ("propensity_l2", "caliper"):
-            if not 0 <= getattr(self, key) < np.inf:
-                raise InvalidInputError(f"{key!r} must be finite and >= 0; got {getattr(self, key)!r}")
+        check_level(self.level)
+        check_at_least("folds", self.folds, 2)
+        check_nonnegative("propensity_l2", self.propensity_l2)
+        check_nonnegative("caliper", self.caliper)
+        if self.mode == "umlr" and self.umlr_route == "constrained" and self.learner.kind == "gbt":
+            raise InvalidInputError("'umlr_route' constrained needs a ridge or lasso learner")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,10 @@ from .estimators import (
     _expit,
     aipw,
     bootstrap_ci,
+    check_at_least,
+    check_bootstrap,
     check_choice,
+    check_nonnegative,
     outcome_regression_ate,
 )
 from .learners import LearnerConfig
@@ -79,16 +82,16 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 20:
-            raise InvalidInputError("need n >= 20")
+        check_at_least("n", self.n, 20)
         if not 1 <= self.s <= self.p:
             raise InvalidInputError("need 1 <= s <= p")
         if self.effect_scale != 0.0 and 2 * self.s > self.p:
             raise InvalidInputError("heterogeneous effects need 2*s <= p")
-        if self.sigma < 0:
-            raise InvalidInputError("sigma must be >= 0")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be >= 0")
+        check_nonnegative("sigma", self.sigma)
+        for key in ("mu1", "mu0", "beta_scale", "gamma_scale", "effect_scale"):
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidInputError(f"{key!r} must be finite; got {getattr(self, key)!r}")
+        check_at_least("seed", self.seed, 0)
         if self.confound_sign not in (-1.0, 1.0):
             raise InvalidInputError("confound_sign must be -1 or +1")
 
@@ -269,8 +272,9 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     worker threads; per-replicate seeds are derived from (seed, index) and
     aggregation runs in index order, so results are identical for any
     ``workers`` value. Set ``B = 0`` to skip bootstrap intervals (DML keeps
-    its analytic interval). ``clip`` bounds every fitted propensity score,
-    in the point estimates and in the bootstrap refits alike.
+    its analytic interval), or ``B >= 50``; every knob is checked before the
+    first replicate. ``clip`` bounds every fitted propensity score, in the
+    point estimates and in the bootstrap refits alike.
 
     Intervals default to the normal-approximation bootstrap
     (``ci_method="normal"``): regularized fits grow extra shrinkage bias
@@ -278,8 +282,9 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     and makes percentile intervals systematically miss; the normal form
     stays centered on the point estimate.
     """
-    if reps < 10:
-        raise InvalidInputError("need reps >= 10")
+    check_at_least("reps", reps, 10)
+    check_at_least("workers", workers, 1)
+    check_nonnegative("B", B)
     check_choice("ci_method", ci_method, CI_METHODS)
     cells = []
     for name, mode in scenario:
@@ -288,6 +293,8 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
         if entry is None or mode not in entry.modes:
             raise InvalidInputError(f"no registered estimator {name!r} runs in mode {mode!r}")
         cells.append((name, spec, entry))
+    if B > 0 and not all(entry.analytic_interval for _, _, entry in cells):
+        check_bootstrap(B, level, ci_method)
 
     task = lambda r: _replicate_task(dgp, cells, r, B, ci_method, collect_slopes)
     if workers > 1:
@@ -392,34 +399,32 @@ class SweepCell:
 
 
 def aipw_oracle_sweep(n_grid, sigma_grid, template: DgpConfig, reps: int,
-                      variants=("aipw_oracle_mlr", "po_mean_oracle"),
-                      learner_rule=default_sweep_learner) -> list[SweepCell]:
+                      variants=("aipw_oracle_mlr", "po_mean_oracle")) -> list[SweepCell]:
     """Oracle-propensity AIPW bias across sample sizes and noise levels.
 
     Outcome nuisances are fit in-sample on each arm (no cross-fitting), so
     the finite-sample bias induced by shrinkage-biased outcome models is
     isolated from propensity estimation error. Variants:
 
-    - ``aipw_oracle_mlr``: plain nuisance fits from ``learner_rule``;
+    - ``aipw_oracle_mlr``: plain nuisance fits of
+      :func:`default_sweep_learner`;
     - ``aipw_oracle_umlr``: mean-anchored nuisance fits; least squares with
       an affine anchoring layer when the arm is comfortably overdetermined,
-      otherwise the anchored ``learner_rule`` fit;
+      otherwise the anchored :func:`default_sweep_learner` fit;
     - ``po_mean_oracle``: difference of potential-outcome means (the
       randomized-benchmark reference, identically unbiased under shared
       noise).
     """
     if not n_grid or not sigma_grid:
         raise InvalidInputError("n_grid and sigma_grid must be nonempty")
-    known = {"aipw_oracle_mlr", "aipw_oracle_umlr", "po_mean_oracle"}
     for v in variants:
-        if v not in known:
-            raise InvalidInputError(f"unknown sweep variant {v!r}")
+        check_choice("variant", v, ("aipw_oracle_mlr", "aipw_oracle_umlr", "po_mean_oracle"))
     ols = LearnerConfig(kind="ridge", lam=0.0)
     cells = []
     for n in n_grid:
         for sigma in sigma_grid:
             cfg = replace(template, n=n, sigma=sigma)
-            learner = learner_rule(n, cfg.p, sigma)
+            learner = default_sweep_learner(n, cfg.p, sigma)
             bias = {v: [] for v in variants}
             for r in range(reps):
                 rep = generate_replicate(cfg, r)

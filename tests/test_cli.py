@@ -130,7 +130,7 @@ class TestConfigFile:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
-    @pytest.mark.parametrize("key", ["mode", "umlr_route", "ci_method"])
+    @pytest.mark.parametrize("key", ["mode", "umlr_route", "ci_method", "learner"])
     def test_unknown_choice_value_exits_3(self, tmp_path, command, key):
         # config-file values bypass argparse's choices; a bad one must stop
         # the run before any work, also when no bootstrap is asked for
@@ -167,6 +167,130 @@ class TestNumericKnobs:
         else:
             args += ["--n", "60", "--p", "4", "--s", "1", "--reps", "10"]
         assert_contract_error(run_cli(args), "invalid_input")
+
+
+class TestRejectedBeforeAnyWork:
+    SIMULATE = ["--estimator", "t", "--reps", "10", "--n", "60", "--p", "4", "--s", "1"]
+    CASES = [
+        # the constrained route has no gbt form: every umlr replicate failed
+        ("simulate", ["--learner", "gbt", "--trees", "5", "--umlr-route", "constrained",
+                      "--mode", "both", "--bootstrap", "0"]),
+        ("estimate", ["--learner", "gbt", "--trees", "5", "--umlr-route", "constrained",
+                      "--mode", "both", "--bootstrap", "0"]),
+        # B in 1-49 failed every bootstrapped cell; a negative B was reported as given
+        ("simulate", ["--mode", "mlr", "--bootstrap", "10"]),
+        ("simulate", ["--mode", "mlr", "--bootstrap", "-5"]),
+        ("estimate", ["--mode", "mlr", "--bootstrap", "-5"]),
+        ("estimate", ["--mode", "mlr", "--bootstrap", "10"]),
+        # 0 workers was reported as 0 and run on 1
+        ("simulate", ["--mode", "mlr", "--bootstrap", "0", "--workers", "0"]),
+        # a nan DGP scale made every replicate fail
+        ("simulate", ["--mode", "mlr", "--bootstrap", "0", "--gamma-scale", "nan"]),
+        # a negative seed ended the bootstrap in a numpy traceback
+        ("estimate", ["--mode", "mlr", "--bootstrap", "50", "--seed", "-1"]),
+    ]
+
+    IDS = ["simulate-gbt-constrained", "estimate-gbt-constrained", "simulate-B10",
+           "simulate-B-5", "estimate-B-5", "estimate-B10", "simulate-workers0",
+           "simulate-gamma-nan", "estimate-seed-1"]
+
+    def args(self, tmp_path, command, flags):
+        if command == "simulate":
+            return ["simulate", *self.SIMULATE, *flags]
+        return ["estimate", "--data", str(write_cohort(tmp_path / "c.csv", n=80)), "--estimator",
+                "t", *flags]
+
+    @pytest.mark.parametrize("command,flags", CASES, ids=IDS)
+    def test_exits_3_without_a_report(self, tmp_path, command, flags):
+        out = tmp_path / "r.json"
+        assert_contract_error(run_cli([*self.args(tmp_path, command, flags), "--out", str(out)]),
+                              "invalid_input")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags", CASES, ids=IDS)
+    def test_no_data_is_read_or_drawn(self, tmp_path, command, flags, monkeypatch):
+        import umlr.cli
+        import umlr.simulation
+
+        def no_work(*args):
+            raise AssertionError("work started before the knobs were checked")
+
+        monkeypatch.setattr(umlr.cli, "load_csv", no_work)
+        monkeypatch.setattr(umlr.simulation, "generate_replicate", no_work)
+        assert main(self.args(tmp_path, command, flags)) == 3
+
+
+class TestOptionTable:
+    """Each simulate/estimate option is declared once, in ``cli``'s table."""
+
+    COMMON = {
+        "--config": None, "--out": None, "--csv-out": None, "--estimator": None,
+        "--mode": ("mlr", "umlr", "both"), "--umlr-route": ("auto", "constrained", "anchored"),
+        "--bootstrap": None, "--ci-method": ("normal", "percentile"), "--level": None,
+        "--folds": None, "--propensity-l2": None, "--clip-lo": None, "--clip-hi": None,
+        "--seed": None, "--learner": ("ridge", "lasso", "gbt"), "--lam": None, "--trees": None,
+        "--depth": None, "--learning-rate": None, "--min-leaf": None,
+    }
+    # flag -> choices, as the parser declared them before the table
+    PINNED = {
+        "simulate": {**COMMON, **dict.fromkeys([
+            "--n", "--p", "--s", "--sigma", "--mu1", "--mu0", "--beta-scale", "--gamma-scale",
+            "--effect-scale", "--confound-sign", "--reps", "--workers", "--per-replicate"])},
+        "estimate": {**COMMON, **dict.fromkeys([
+            "--data", "--outcome-col", "--treatment-col", "--covariate-cols", "--caliper"])},
+    }
+    DEFAULTS = {"--outcome-col": "y", "--treatment-col": "t", "--covariate-cols": "all-others"}
+
+    @staticmethod
+    def actions(command):
+        from umlr.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        return [a for a in sub.choices[command]._actions if a.dest != "help"]
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_flags_match_the_pinned_list(self, command):
+        actions = self.actions(command)
+        assert len(actions) == len(self.PINNED[command])
+        for a in actions:
+            (flag,) = a.option_strings
+            assert a.choices == self.PINNED[command][flag], flag
+            assert a.default == self.DEFAULTS.get(flag), flag
+
+    def test_table_defaults_equal_library_defaults(self):
+        import dataclasses
+        import inspect
+
+        from umlr import DgpConfig, LearnerConfig, run_monte_carlo
+        from umlr.cli import _ESTIMATE_OPTIONS, _SIMULATE_OPTIONS
+        from umlr.estimators import DEFAULT_CLIP, EstimatorSpec
+
+        learner, spec, dgp = LearnerConfig(), EstimatorSpec(LearnerConfig()), DgpConfig()
+        harness = {name: p.default
+                   for name, p in inspect.signature(run_monte_carlo).parameters.items()}
+        library = {
+            "learner": learner.kind, "lam": learner.lam, "trees": learner.n_trees,
+            "depth": learner.max_depth, "learning_rate": learner.learning_rate,
+            "min_leaf": learner.min_leaf,
+            **{key: getattr(spec, key)
+               for key in ("umlr_route", "propensity_l2", "folds", "level", "caliper")},
+            "clip_lo": DEFAULT_CLIP[0], "clip_hi": DEFAULT_CLIP[1],
+            **{f.name: getattr(dgp, f.name) for f in dataclasses.fields(dgp)},
+            "bootstrap": harness["B"], "ci_method": harness["ci_method"],
+            "workers": harness["workers"],
+        }
+        table = {**_SIMULATE_OPTIONS, **_ESTIMATE_OPTIONS}
+        # the selection defaults have no library counterpart
+        assert set(table) - set(library) == {"estimator", "mode", "reps"}
+        for key, (default, _, _) in table.items():
+            if key in library:
+                assert default == library[key] and type(default) is type(library[key]), key
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "diagnose"])
+    def test_help_exits_0(self, command):
+        r = run_cli([command, "--help"])
+        assert r.returncode == 0, r.stderr
+        assert "usage: umlr " + command in r.stdout
 
 
 class TestSimulateCommand:

@@ -437,3 +437,49 @@ class TestPermutationInvariance:
             return aipw(dd, m0, m1, prop).point
 
         assert run(d) == pytest.approx(run(dp), abs=1e-9)
+
+
+class TestKnobChecks:
+    """The public estimators reject a bad knob with InvalidInputError naming
+    it, through the same checks EstimatorSpec runs."""
+
+    def test_dml_rejects_level_outside_unit_interval(self):
+        d = randomized_dataset(seed=30, n=60)
+        for level in (1.5, 0.0, float("nan")):
+            with pytest.raises(InvalidInputError, match="'level'"):
+                dml(d, RIDGE1, "mlr", level=level)
+
+    @pytest.mark.parametrize("l2", [float("nan"), float("inf"), -1.0])
+    def test_fit_propensity_rejects_bad_l2(self, l2):
+        d = randomized_dataset(seed=31, n=60)
+        with pytest.raises(InvalidInputError, match="'l2'"):
+            fit_propensity(d.X, d.t, l2=l2)
+
+    def test_fit_propensity_rejects_bad_clip_before_fitting(self):
+        # separable classes with l2 = 0 would end the fit in ConvergenceError
+        X, t = np.array([[-2.0], [-1.0], [1.0], [2.0]]), np.array([0, 0, 1, 1])
+        with pytest.raises(InvalidInputError, match="clip"):
+            fit_propensity(X, t, l2=0.0, clip=(0.9, 0.1))
+
+    @pytest.mark.parametrize("caliper", [float("nan"), -1.0, float("inf")])
+    def test_psm_rejects_bad_caliper(self, caliper):
+        d = randomized_dataset(seed=32, n=60)
+        with pytest.raises(InvalidInputError, match="'caliper'"):
+            psm_att(d, fit_propensity(d.X, d.t, l2=1.0), caliper=caliper)
+
+    def test_bootstrap_rejects_negative_seed(self):
+        d = randomized_dataset(seed=33, n=60)
+        with pytest.raises(InvalidInputError, match="'seed'"):
+            bootstrap_ci(d, lambda dd: float(np.mean(dd.y)), B=50, seed=-1)
+
+    def test_spec_rejects_constrained_route_for_gbt(self):
+        from umlr.estimators import EstimatorSpec
+
+        gbt = LearnerConfig(kind="gbt", n_trees=5)
+        with pytest.raises(InvalidInputError, match="'umlr_route'"):
+            EstimatorSpec(gbt, "umlr", "constrained")
+        # the route is read in umlr mode only, and the other routes serve gbt
+        EstimatorSpec(gbt, "mlr", "constrained")
+        EstimatorSpec(gbt, "umlr", "anchored")
+        EstimatorSpec(gbt, "umlr", "auto")
+        EstimatorSpec(RIDGE1, "umlr", "constrained")

@@ -16,6 +16,7 @@ from umlr import (
 )
 from umlr.diagnostics import BiasInputs
 from umlr.estimators import outcome_regression_ate
+import umlr.simulation as simulation
 from umlr.simulation import aipw_oracle_sweep, default_sweep_learner, shrinkage_oracle_study
 
 SMALL = DgpConfig(n=120, p=8, s=3, seed=42)
@@ -94,6 +95,13 @@ class TestGenerateReplicate:
         with pytest.raises(InvalidInputError):
             DgpConfig(n=100, p=6, s=2, sigma=-1.0)
 
+    @pytest.mark.parametrize("key", ["sigma", "mu1", "mu0", "beta_scale", "gamma_scale",
+                                     "effect_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, key, value):
+        with pytest.raises(InvalidInputError, match=repr(key)):
+            DgpConfig(n=100, p=6, s=2, **{key: value})
+
 
 class TestInjectSpb:
     def test_no_shrinkage_returns_oracle(self):
@@ -156,6 +164,27 @@ class TestRunMonteCarlo:
     def test_reps_minimum(self):
         with pytest.raises(InvalidInputError):
             run_monte_carlo(self.CFG, self.LEARNER, self.SCENARIO, reps=5)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(B=10), dict(B=49), dict(B=-5), dict(B=-5, scenario=[("dml", "mlr")]),
+        dict(B=0, workers=0), dict(B=0, workers=-2),
+        dict(B=0, scenario=[("t_learner", "umlr")], learner=LearnerConfig(kind="gbt", n_trees=5),
+             umlr_route="constrained"),
+    ])
+    def test_bad_knob_rejected_before_the_first_replicate(self, kwargs, monkeypatch):
+        # each of these used to run every replicate, failing or ignoring the knob
+        def no_replicate(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulation, "generate_replicate", no_replicate)
+        kwargs = {"scenario": self.SCENARIO, "learner": self.LEARNER, **kwargs}
+        with pytest.raises(InvalidInputError):
+            run_monte_carlo(self.CFG, reps=10, **kwargs)
+
+    def test_small_B_accepted_when_no_cell_bootstraps(self):
+        # DML carries its own interval, so B is not read
+        res = run_monte_carlo(self.CFG, self.LEARNER, [("dml", "mlr")], reps=10, B=10)
+        assert res[0].n_failed == 0 and res[0].coverage is not None
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -247,6 +276,10 @@ class TestAipwOracleSweep:
         strong = default_sweep_learner(500, 200, 5.0)
         assert strong.lam == pytest.approx(5 * weak.lam)
         assert weak.kind == "lasso"
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(InvalidInputError, match="'variant'"):
+            aipw_oracle_sweep([60], [1.0], SMALL, reps=5, variants=("bogus",))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):
