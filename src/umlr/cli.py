@@ -327,7 +327,9 @@ def _env_workers() -> int:
 
 
 def _cmd_simulate(args) -> dict:
-    cfg = _merge_config(args, _SIMULATE_OPTIONS, workers=_env_workers())
+    cfg = _merge_config(args, _SIMULATE_OPTIONS, workers=None)
+    if cfg["workers"] is None:  # neither the flag nor the config file sets it
+        cfg["workers"] = _env_workers()
     dgp = DgpConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(DgpConfig)
                        if f.name in cfg})
     learner = _learner_from(cfg)

@@ -35,6 +35,7 @@ from .estimators import (
     _expit,
     aipw,
     bootstrap_ci,
+    bootstrap_interval,
     check_at_least,
     check_bootstrap,
     check_choice,
@@ -227,14 +228,15 @@ def _replicate_task(dgp: DgpConfig, cells, r: int, B: int, ci_method: str,
                     collect_slopes: bool):
     rep = generate_replicate(dgp, r)
     nuis = Nuisances(rep.data)  # shared by every point estimate of the replicate
-    out = []
-    for k, (name, spec, entry) in enumerate(cells):
+    rows, ests = [], []
+    for name, spec, entry in cells:
         row = {"rep": r, "estimator": name, "mode": spec.mode, "true_ate": rep.true_ate,
                "point": None, "ci_low": None, "ci_high": None, "error": None,
                "slope_out_1": None, "slope_out_0": None}
+        est = None
         try:
             est = entry.run(rep.data, spec, nuis)
-            row["point"] = est.point
+            row["point"], row["ci_low"], row["ci_high"] = est.point, est.ci_low, est.ci_high
             if collect_slopes and name == "t_learner":
                 m0, m1 = (nuis.model(spec.learner, spec.mode, spec.umlr_route, ("arm", arm))
                           for arm in (0, 1))
@@ -244,17 +246,51 @@ def _replicate_task(dgp: DgpConfig, cells, r: int, B: int, ci_method: str,
                     row["slope_out_1"], row["slope_out_0"] = slopes.eta_1_0, slopes.eta_0_1
                 except UmlrError:
                     pass
-            if not entry.analytic_interval and B > 0:
-                ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + k
-                est = est.with_interval(*bootstrap_ci(
-                    rep.data, lambda d: entry.run(d, spec, Nuisances(d)).point,
-                    B=B, level=spec.level, seed=ci_seed,
-                    method=ci_method, center=est.point), spec.level)
-            row["ci_low"], row["ci_high"] = est.ci_low, est.ci_high
         except UmlrError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-        out.append(row)
-    return out
+        rows.append(row)
+        ests.append(est)
+    if B == 0:
+        return rows
+    # the bootstrapped modes of one estimator share the resample stream of
+    # its first cell and one memo per resample; the first mode whose point
+    # did not fail gets bootstrap_ci's interval, the others one from the
+    # points they gave, and a mode failing on a resample loses only its point
+    modes = {}
+    for k, (name, _, entry) in enumerate(cells):
+        if not entry.analytic_interval:
+            modes.setdefault(name, []).append(k)
+    for ks in modes.values():
+        ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + ks[0]
+        live = [k for k in ks if ests[k] is not None]
+        if not live:
+            continue
+        first, rest = live[0], live[1:]
+        points = {k: [] for k in rest}
+
+        def statistic(sub: Dataset) -> float:
+            memo = Nuisances(sub)
+            for k in rest:
+                try:
+                    points[k].append(float(cells[k][2].run(sub, cells[k][1], memo).point))
+                except UmlrError:
+                    pass
+            return cells[first][2].run(sub, cells[first][1], memo).point
+
+        for k in live:
+            level, point = cells[k][1].level, ests[k].point
+            try:
+                if k == first:
+                    interval = bootstrap_ci(rep.data, statistic, B=B, level=level,
+                                            seed=ci_seed, method=ci_method, center=point)
+                else:
+                    interval = bootstrap_interval(points[k], B, level, ci_method,
+                                                  lambda: point)
+                est = ests[k].with_interval(*interval, level)
+                rows[k]["ci_low"], rows[k]["ci_high"] = est.ci_low, est.ci_high
+            except UmlrError as exc:
+                rows[k]["error"] = f"{type(exc).__name__}: {exc}"
+    return rows
 
 
 def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
@@ -275,6 +311,13 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     its analytic interval), or ``B >= 50``; every knob is checked before the
     first replicate. ``clip`` bounds every fitted propensity score, in the
     point estimates and in the bootstrap refits alike.
+
+    The bootstrapped modes of one estimator share one resample stream, the
+    one of the estimator's first cell in ``scenario``, and one
+    :class:`~umlr.estimators.Nuisances` memo per resample, so an anchored
+    ``umlr`` model wraps the ``mlr`` base fit of the same resample. A mode
+    that fails on a resample loses only its own point, and each mode's
+    interval is refused on its own.
 
     Intervals default to the normal-approximation bootstrap
     (``ci_method="normal"``): regularized fits grow extra shrinkage bias

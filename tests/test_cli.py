@@ -339,6 +339,21 @@ class TestSimulateCommand:
         assert_contract_error(r, "invalid_input")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_workers_flag_or_config_overrides_the_env(self, tmp_path, source):
+        # a malformed UMLR_WORKERS used to fail the run even when overridden
+        args = ["simulate", "--n", "60", "--p", "4", "--s", "1", "--reps", "10",
+                "--bootstrap", "0", "--estimator", "t", "--mode", "mlr",
+                "--out", str(tmp_path / "r.json")]
+        if source == "flag":
+            args += ["--workers", "2"]
+        else:
+            (tmp_path / "sim.toml").write_text("workers = 2\n")
+            args += ["--config", str(tmp_path / "sim.toml")]
+        r = run_cli(args, env={"UMLR_WORKERS": "two"})
+        assert r.returncode == 0, r.stderr
+        assert json.loads((tmp_path / "r.json").read_text())["config"]["workers"] == 2
+
 
 class TestEstimateCommand:
     def test_rows_and_att_tagging(self, tmp_path):

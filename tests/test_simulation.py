@@ -1,4 +1,5 @@
 import json
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,14 @@ from umlr import (
     shrinkage_ate_bias,
 )
 from umlr.diagnostics import BiasInputs
-from umlr.estimators import outcome_regression_ate
+from umlr.errors import ResamplingError
+from umlr.estimators import (
+    ESTIMATORS,
+    EstimatorSpec,
+    Nuisances,
+    bootstrap_ci,
+    outcome_regression_ate,
+)
 import umlr.simulation as simulation
 from umlr.simulation import aipw_oracle_sweep, default_sweep_learner, shrinkage_oracle_study
 
@@ -255,6 +263,100 @@ class TestRunMonteCarlo:
                               B=0, collect_slopes=True)
         for s in res:
             assert s.slope_out_1 is not None and s.slope_out_0 is not None
+
+
+class TestPairedBootstrap:
+    """The bootstrapped modes of one estimator share the resample stream of
+    the estimator's first cell, and one memo per resample."""
+
+    NULL = DgpConfig(n=100, p=4, s=2, mu1=2.0, mu0=0.0, gamma_scale=0.0,
+                     effect_scale=0.0, sigma=0.4, beta_scale=2.5, seed=5)
+    LEARNER = LearnerConfig(kind="ridge", lam=0.1)
+    SCENARIO = [(name, mode) for name in ("s_learner", "t_learner", "x_learner", "aipw", "dml")
+                for mode in ("mlr", "umlr")]
+    T_BOTH = [("t_learner", "mlr"), ("t_learner", "umlr")]
+    B = 60
+
+    def ci_seed(self, r: int, k: int) -> int:
+        return ((self.NULL.seed + 1) * 1_000_003 + r) * 131 + k
+
+    @pytest.mark.parametrize("method", ["normal", "percentile"])
+    def test_every_mode_draws_its_first_cells_stream(self, method):
+        _, records = run_monte_carlo(self.NULL, self.LEARNER, self.SCENARIO, reps=10, B=self.B,
+                                     ci_method=method, return_records=True)
+        first = {}
+        for k, (name, _) in enumerate(self.SCENARIO):
+            first.setdefault(name, k)
+        checked = 0
+        for i, row in enumerate(records):
+            r, k = divmod(i, len(self.SCENARIO))
+            name, mode = self.SCENARIO[k]
+            assert (row["rep"], row["estimator"], row["mode"]) == (r, name, mode)
+            assert row["error"] is None, row
+            if name == "dml":
+                continue
+            spec = EstimatorSpec(self.LEARNER, mode)
+            run = ESTIMATORS[name].run
+            lo, hi = bootstrap_ci(generate_replicate(self.NULL, r).data,
+                                  lambda d: run(d, spec, Nuisances(d)).point, B=self.B,
+                                  seed=self.ci_seed(r, first[name]), method=method,
+                                  center=row["point"])
+            point = row["point"]
+            assert (row["ci_low"], row["ci_high"]) == (min(lo, point), max(hi, point)), row
+            checked += 1
+        assert checked == 80
+
+    def flaky_t(self, monkeypatch, umlr_share=0.0, mlr_point_fails=False):
+        """Swap in a T-learner that fails in umlr mode on about ``umlr_share``
+        of the resamples, and in mlr mode on the replicate itself if asked."""
+        t_run = ESTIMATORS["t_learner"].run
+
+        def run(data, spec, nuis, diagnostics=False):
+            resample = np.unique(data.y).size < data.n  # rows repeat
+            if spec.mode == "umlr" and resample and \
+                    zlib.crc32(data.y.tobytes()) < umlr_share * 2**32:
+                raise ResamplingError("flaky resample")
+            if spec.mode == "mlr" and mlr_point_fails and not resample:
+                raise ResamplingError("flaky point")
+            return t_run(data, spec, nuis, diagnostics)
+
+        monkeypatch.setitem(ESTIMATORS, "t_learner", replace(ESTIMATORS["t_learner"], run=run))
+
+    def records(self):
+        return run_monte_carlo(self.NULL, self.LEARNER, self.T_BOTH, reps=10, B=self.B,
+                               return_records=True)[1]
+
+    def test_a_mode_failing_on_resamples_loses_only_its_own_points(self, monkeypatch):
+        clean = self.records()
+        self.flaky_t(monkeypatch, umlr_share=0.02)
+        flaky = self.records()
+        moved = 0
+        for a, b in zip(clean, flaky):
+            assert b["error"] is None and a["point"] == b["point"]
+            if b["mode"] == "mlr":
+                assert a == b
+            else:
+                moved += (a["ci_low"], a["ci_high"]) != (b["ci_low"], b["ci_high"])
+        assert moved > 0  # some umlr resample did fail
+
+    def test_unstable_bootstrap_errors_only_that_modes_row(self, monkeypatch):
+        clean = self.records()
+        self.flaky_t(monkeypatch, umlr_share=0.3)
+        for a, b in zip(clean, self.records()):
+            if b["mode"] == "mlr":
+                assert a == b
+            else:
+                assert b["error"].startswith("UnstableBootstrapError")
+                assert b["point"] == a["point"] and b["ci_low"] is None
+
+    def test_a_failed_first_point_leaves_the_next_mode_on_the_same_stream(self, monkeypatch):
+        clean = self.records()
+        self.flaky_t(monkeypatch, mlr_point_fails=True)
+        for a, b in zip(clean, self.records()):
+            if b["mode"] == "mlr":
+                assert b["error"] == "ResamplingError: flaky point" and b["point"] is None
+            else:
+                assert a == b
 
 
 class TestAipwOracleSweep:
