@@ -132,35 +132,20 @@ def estimate_eta(y, y_hat) -> SpbReport:
     return evaluate_predictions(y, y_hat)
 
 
-def counterfactual_slopes(
-    data: Dataset,
-    mu0_star,
-    mu1_star,
-    model0,
-    model1,
-    y0=None,
-    y1=None,
-    against: str = "oracle",
-) -> CounterfactualSlopes:
+def counterfactual_slopes(data: Dataset, mu0_star, mu1_star, model0,
+                          model1) -> CounterfactualSlopes:
     """Per-arm/per-stratum calibration slopes of fitted outcome models.
 
-    ``against="oracle"`` regresses model predictions on the oracle surfaces
-    mu_t*(X); ``against="potential"`` uses realized potential outcomes y0/y1
-    instead. Only computable in simulations where those quantities exist.
+    Regresses model predictions on the reference surfaces ``mu0_star`` and
+    ``mu1_star``: the oracle surfaces mu_t*(X), or the realized potential
+    outcomes. Only computable in simulations where those quantities exist.
     """
-    if against not in ("oracle", "potential"):
-        raise InvalidInputError("against must be 'oracle' or 'potential'")
-    if against == "oracle":
-        ref0, ref1 = mu0_star, mu1_star
-    else:
-        ref0, ref1 = y0, y1
-    if ref0 is None or ref1 is None:
+    if mu0_star is None or mu1_star is None:
         raise OracleUnavailableError(
             "counterfactual slopes need oracle surfaces (or potential outcomes); "
             "they are not computable on real data"
         )
-    ref0 = np.asarray(ref0, dtype=float)
-    ref1 = np.asarray(ref1, dtype=float)
+    ref0, ref1 = np.asarray(mu0_star, dtype=float), np.asarray(mu1_star, dtype=float)
     treated = data.arm_indices(1)
     control = data.arm_indices(0)
     if treated.size == 0 or control.size == 0:

@@ -493,15 +493,12 @@ def aipw(data: Dataset, mu0, mu1, prop, mode: str = "mlr") -> AteEstimate:
 
 def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
         l2: float = 1.0, clip=DEFAULT_CLIP, level: float = 0.95,
-        e_oracle=None, mu_oracle=None, umlr_route: str = "auto",
-        nuis: Nuisances | None = None) -> AteEstimate:
+        umlr_route: str = "auto", nuis: Nuisances | None = None) -> AteEstimate:
     """K-fold cross-fitted AIPW with an analytic influence-function interval.
 
     Folds are dealt round-robin within each arm along a canonical row order,
     so the estimate does not depend on how the input rows were arranged, and
     both modes share the memo's fold assignment and propensity fits.
-    ``e_oracle`` (per-unit propensities) and ``mu_oracle`` (pair of per-unit
-    oracle outcome-surface vectors) bypass nuisance fitting when supplied.
     """
     check_at_least("folds", folds, 2)
     check_level(level)
@@ -509,10 +506,6 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
         raise InvalidInputError("more folds than units")
     nuis = nuis or Nuisances(data)
     fold_of = nuis.folds(folds)
-    e_all = None if e_oracle is None else _propensities(e_oracle, data)
-    m_all = None
-    if mu_oracle is not None:
-        m_all = (_predictions(mu_oracle[0], data), _predictions(mu_oracle[1], data))
 
     scores = np.empty(data.n)
     for k in range(folds):
@@ -525,15 +518,9 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
                 f"training part of fold {k} has fewer than 2 units in an arm"
             )
         test_data = data.subset(np.flatnonzero(test))
-        if m_all is not None:
-            m0, m1 = m_all[0][test], m_all[1][test]
-        else:
-            m0, m1 = [nuis.predictions(cfg, mode, umlr_route, ("fold", folds, k, arm))
-                      for arm in (0, 1)]
-        if e_all is not None:
-            e = e_all[test]
-        else:
-            e = nuis.propensity(l2, clip, (folds, k)).predict_proba(test_data.X)
+        m0, m1 = [nuis.predictions(cfg, mode, umlr_route, ("fold", folds, k, arm))
+                  for arm in (0, 1)]
+        e = nuis.propensity(l2, clip, (folds, k)).predict_proba(test_data.X)
         scores[test] = aipw_scores(test_data, m0, m1, e)
 
     point = float(np.mean(scores))

@@ -452,13 +452,10 @@ def anchor_recalibrate(base: FittedModel, X_train, y_train, split: SplitIndices)
     """
     X_train, y_train = _validate_xy(X_train, y_train)
     _check_split(split, y_train.shape[0])
-    raw = replace(base, anchor=None).predict(X_train)  # routes the rows once
-    if base.anchor is None:
-        a, b = _solve_anchor(split, raw, y_train)
-    else:  # solve on the anchored predictions, then compose both layers into one
-        a0, b0 = base.anchor
-        a, b = _solve_anchor(split, a0 + b0 * raw, y_train)
-        a, b = a + b * a0, b * b0
+    # an anchored base is solved on its plain predictions: affine layers
+    # compose and the 2x2 system has one solution, so the layer is the same
+    raw = replace(base, anchor=None).predict(X_train)
+    a, b = _solve_anchor(split, raw, y_train)
     new_pred = a + b * raw
     sums = _group_sums(split, new_pred, y_train)
     tol_scale = GBT_GROUP_TOL if base.trees is not None else LINEAR_GROUP_TOL

@@ -252,44 +252,39 @@ def _replicate_task(dgp: DgpConfig, cells, r: int, B: int, ci_method: str,
         ests.append(est)
     if B == 0:
         return rows
-    # the bootstrapped modes of one estimator share the resample stream of
-    # its first cell and one memo per resample; the first mode whose point
-    # did not fail gets bootstrap_ci's interval, the others one from the
-    # points they gave, and a mode failing on a resample loses only its point
-    modes = {}
-    for k, (name, _, entry) in enumerate(cells):
-        if not entry.analytic_interval:
-            modes.setdefault(name, []).append(k)
-    for ks in modes.values():
-        ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + ks[0]
-        live = [k for k in ks if ests[k] is not None]
-        if not live:
-            continue
-        first, rest = live[0], live[1:]
-        points = {k: [] for k in rest}
+    # all bootstrapped cells share one resample stream and one memo per
+    # resample (see run_monte_carlo); the first cell whose point did not fail
+    # gets bootstrap_ci's interval, the others one from the points they
+    # gave, and a cell failing on a resample loses only its point
+    ks = [k for k, (_, _, entry) in enumerate(cells) if not entry.analytic_interval]
+    live = [k for k in ks if ests[k] is not None]
+    if not live:
+        return rows
+    ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + ks[0]
+    first, rest = live[0], live[1:]
+    points = {k: [] for k in rest}
 
-        def statistic(sub: Dataset) -> float:
-            memo = Nuisances(sub)
-            for k in rest:
-                try:
-                    points[k].append(float(cells[k][2].run(sub, cells[k][1], memo).point))
-                except UmlrError:
-                    pass
-            return cells[first][2].run(sub, cells[first][1], memo).point
-
-        for k in live:
-            level, point = cells[k][1].level, ests[k].point
+    def statistic(sub: Dataset) -> float:
+        memo = Nuisances(sub)
+        for k in rest:
             try:
-                if k == first:
-                    interval = bootstrap_ci(rep.data, statistic, B=B, level=level,
-                                            seed=ci_seed, method=ci_method, center=point)
-                else:
-                    interval = bootstrap_interval(points[k], B, level, ci_method,
-                                                  lambda: point)
-                est = ests[k].with_interval(*interval, level)
-                rows[k]["ci_low"], rows[k]["ci_high"] = est.ci_low, est.ci_high
-            except UmlrError as exc:
-                rows[k]["error"] = f"{type(exc).__name__}: {exc}"
+                points[k].append(float(cells[k][2].run(sub, cells[k][1], memo).point))
+            except UmlrError:
+                pass
+        return cells[first][2].run(sub, cells[first][1], memo).point
+
+    for k in live:
+        level, point = cells[k][1].level, ests[k].point
+        try:
+            if k == first:
+                interval = bootstrap_ci(rep.data, statistic, B=B, level=level,
+                                        seed=ci_seed, method=ci_method, center=point)
+            else:
+                interval = bootstrap_interval(points[k], B, level, ci_method, lambda: point)
+            est = ests[k].with_interval(*interval, level)
+            rows[k]["ci_low"], rows[k]["ci_high"] = est.ci_low, est.ci_high
+        except UmlrError as exc:
+            rows[k]["error"] = f"{type(exc).__name__}: {exc}"
     return rows
 
 
@@ -312,11 +307,12 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     first replicate. ``clip`` bounds every fitted propensity score, in the
     point estimates and in the bootstrap refits alike.
 
-    The bootstrapped modes of one estimator share one resample stream, the
-    one of the estimator's first cell in ``scenario``, and one
-    :class:`~umlr.estimators.Nuisances` memo per resample, so an anchored
-    ``umlr`` model wraps the ``mlr`` base fit of the same resample. A mode
-    that fails on a resample loses only its own point, and each mode's
+    Bootstrapped cells are paired as ``umlr estimate`` pairs its rows: all
+    those of a replicate draw one resample stream, the one of the first
+    bootstrapped cell in ``scenario``, and share one
+    :class:`~umlr.estimators.Nuisances` memo per resample, so cells that ask
+    for the same arm or propensity fit of a resample get one fit. A cell
+    that fails on a resample loses only its own point, and each cell's
     interval is refused on its own.
 
     Intervals default to the normal-approximation bootstrap

@@ -128,14 +128,6 @@ class TestCounterfactualSlopes:
         with pytest.raises(OracleUnavailableError):
             counterfactual_slopes(data, None, None, m, m)
 
-    def test_potential_outcome_target_flag(self):
-        data, mu0, mu1 = self._make(seed=3)
-        m0 = self._VectorModel(lambda X: X @ np.array([1.0, -0.5]))
-        m1 = self._VectorModel(lambda X: 2.0 + X @ np.array([1.0, 0.5]))
-        s = counterfactual_slopes(data, None, None, m0, m1, y0=mu0, y1=mu1,
-                                  against="potential")
-        assert s.eta_1_0 == pytest.approx(1.0, abs=1e-9)
-
 
 class TestShrinkageAteBias:
     def _inputs(self, **kw):

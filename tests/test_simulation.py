@@ -24,6 +24,7 @@ from umlr.estimators import (
     bootstrap_ci,
     outcome_regression_ate,
 )
+import umlr.estimators as estimators
 import umlr.simulation as simulation
 from umlr.simulation import aipw_oracle_sweep, default_sweep_learner, shrinkage_oracle_study
 
@@ -266,8 +267,9 @@ class TestRunMonteCarlo:
 
 
 class TestPairedBootstrap:
-    """The bootstrapped modes of one estimator share the resample stream of
-    the estimator's first cell, and one memo per resample."""
+    """Every bootstrapped cell of a replicate draws the resample stream of
+    the scenario's first bootstrapped cell, and all share one memo per
+    resample, as the rows of ``umlr estimate`` do."""
 
     NULL = DgpConfig(n=100, p=4, s=2, mu1=2.0, mu0=0.0, gamma_scale=0.0,
                      effect_scale=0.0, sigma=0.4, beta_scale=2.5, seed=5)
@@ -284,9 +286,6 @@ class TestPairedBootstrap:
     def test_every_mode_draws_its_first_cells_stream(self, method):
         _, records = run_monte_carlo(self.NULL, self.LEARNER, self.SCENARIO, reps=10, B=self.B,
                                      ci_method=method, return_records=True)
-        first = {}
-        for k, (name, _) in enumerate(self.SCENARIO):
-            first.setdefault(name, k)
         checked = 0
         for i, row in enumerate(records):
             r, k = divmod(i, len(self.SCENARIO))
@@ -299,12 +298,27 @@ class TestPairedBootstrap:
             run = ESTIMATORS[name].run
             lo, hi = bootstrap_ci(generate_replicate(self.NULL, r).data,
                                   lambda d: run(d, spec, Nuisances(d)).point, B=self.B,
-                                  seed=self.ci_seed(r, first[name]), method=method,
+                                  seed=self.ci_seed(r, 0), method=method,
                                   center=row["point"])
             point = row["point"]
             assert (row["ci_low"], row["ci_high"]) == (min(lo, point), max(hi, point)), row
             checked += 1
         assert checked == 80
+
+    def test_one_propensity_fit_per_resample(self, monkeypatch):
+        # per replicate: the full-data fit that x_learner and aipw share in
+        # both modes, DML's five fold fits, and one fit per resample
+        calls = []
+        fit_propensity = estimators.fit_propensity
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit_propensity(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit_propensity", counted)
+        summaries = run_monte_carlo(self.NULL, self.LEARNER, self.SCENARIO, reps=10, B=self.B)
+        assert all(s.n_failed == 0 for s in summaries)
+        assert len(calls) == 10 * (6 + self.B)
 
     def flaky_t(self, monkeypatch, umlr_share=0.0, mlr_point_fails=False):
         """Swap in a T-learner that fails in umlr mode on about ``umlr_share``
