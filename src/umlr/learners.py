@@ -9,10 +9,12 @@ mean-anchoring constraints
     sum_{i in r1} (f(X_i) - y_i) = 0   and   sum_{i in r2} (f(X_i) - y_i) = 0
 
 over the below-mean / above-mean outcome groups (``umlr`` mode). Linear kinds
-solve the equality-constrained problem exactly (ridge by a rank-1 correction
-of its plain solve); tree ensembles are anchored after the fact with an exact
-two-parameter affine layer a + b * f(x), which satisfies both constraints and
-counteracts linear shrinkage by inflating the calibration slope.
+solve the equality-constrained problem in centred form, where the intercept
+meets one constraint and one is left on the coefficients (ridge by a rank-1
+correction of its plain solve, lasso by the method of multipliers on its plain
+sweep); tree ensembles are anchored after the fact with an exact two-parameter
+affine layer a + b * f(x), which satisfies both constraints and counteracts
+linear shrinkage by inflating the calibration slope.
 
 Penalty conventions (intercept never penalized):
 
@@ -49,7 +51,10 @@ __all__ = [
 LINEAR_GROUP_TOL = 1e-8  # x n x sd(y), constrained linear fits
 GBT_GROUP_TOL = 1e-6  # x n x sd(y), anchored tree ensembles
 LASSO_COEF_TOL = 1e-7
+LASSO_MAX_SWEEPS = 10_000
 RIDGE_RESID_TOL = 1e-10
+_INFEASIBLE = ("anchoring constraints infeasible: the below-mean group "
+               "has the covariate means of the whole sample")
 
 _KINDS = ("ridge", "lasso", "gbt")
 
@@ -64,7 +69,6 @@ class LearnerConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_leaf: int = 5
-    lasso_max_sweeps: int = 10_000
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -78,8 +82,7 @@ class LearnerConfig:
         if self.min_leaf < 1 or self.max_depth < 1:
             raise InvalidInputError("min_leaf and max_depth must be >= 1")
         object.__setattr__(self, "_hash", hash((self.kind, self.lam, self.n_trees, self.max_depth,
-                                                self.learning_rate, self.min_leaf,
-                                                self.lasso_max_sweeps)))
+                                                self.learning_rate, self.min_leaf)))
 
     def __hash__(self):  # computed once: nuisance-memo keys hash the config often
         return self._hash
@@ -193,10 +196,8 @@ def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray,
                split: SplitIndices | None = None) -> FittedModel:
     """Plain ridge, or with ``split`` ridge under both anchoring constraints.
 
-    The centred intercept ybar - xbar'b zeroes the total residual sum, so one
-    constraint is left: u'b = s with u = sum_{r1} (x_i - xbar) and
-    s = sum_{r1} (y_i - ybar). The plain solution moves along w = G^-1 u, a
-    second column of the same solve, until it holds.
+    The constrained fit moves the plain solution along w = G^-1 u, a second
+    column of the same solve, until u'b = s holds (see fit_constrained_linear).
     """
     n, p = X.shape
     x_mean = X.mean(axis=0)
@@ -228,8 +229,7 @@ def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray,
     (coef, w), u = sol.T, rhs[:, 1]
     uw = u @ w
     if not uw > 0.0:  # u = 0, so u'b = s < 0 has no solution
-        raise SingularSystemError("anchoring constraints infeasible: the below-mean group "
-                                  "has the covariate means of the whole sample")
+        raise SingularSystemError(_INFEASIBLE)
     coef = coef - w * ((u @ coef - yc[split.r1].sum()) / uw)
     intercept = float(y_mean - x_mean @ coef)
     sums = _group_sums(split, intercept + X @ coef, y)
@@ -248,14 +248,13 @@ def _soft_threshold(z: float, lam: float) -> float:
     return 0.0
 
 
-def _lasso_sweep(cols, coef, resid, col_msq, lam, active=None):
+def _lasso_sweep(cols, coef, resid, col_msq, lam, n, active=None):
     """One pass of cyclic coordinate descent; returns max |coef update|.
 
     ``cols`` holds the centered columns as strided views of ``Xc`` (a
     contiguous copy would change the summation order of the dot products)
-    and ``col_msq`` their mean squares as Python floats.
+    and ``col_msq`` their squared norms over ``n`` as Python floats.
     """
-    n = resid.shape[0]
     max_delta = 0.0
     for j in range(len(cols)) if active is None else active:
         cj = col_msq[j]
@@ -279,14 +278,14 @@ def _fit_lasso(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
     col_msq = (Xc * Xc).mean(axis=0).tolist()
     coef = np.zeros(p)
     resid = y - y_mean
-    for _ in range(config.lasso_max_sweeps):
-        delta = _lasso_sweep(cols, coef, resid, col_msq, config.lam)
+    for _ in range(LASSO_MAX_SWEEPS):
+        delta = _lasso_sweep(cols, coef, resid, col_msq, config.lam, n)
         if delta < LASSO_COEF_TOL:
             break
         # cheap inner loop over the current active set before the next full sweep
         active = np.flatnonzero(coef).tolist()
-        for _ in range(config.lasso_max_sweeps):
-            if _lasso_sweep(cols, coef, resid, col_msq, config.lam, active) < LASSO_COEF_TOL:
+        for _ in range(LASSO_MAX_SWEEPS):
+            if _lasso_sweep(cols, coef, resid, col_msq, config.lam, n, active) < LASSO_COEF_TOL:
                 break
     else:
         raise ConvergenceError("lasso coordinate descent did not converge")
@@ -470,74 +469,50 @@ def anchor_recalibrate(base: FittedModel, X_train, y_train, split: SplitIndices)
 
 
 def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
-    """Coordinate descent on the l1-penalized loss augmented with multiplier
-    and quadratic terms for the two group-mean constraints, finished by one
-    exact affine projection so feasibility holds to machine precision.
+    """Coordinate descent on the l1-penalized loss augmented with a multiplier
+    and a quadratic term for the centred constraint m'b = c (m = u / n1,
+    c = s / n1), finished by one exact affine projection so feasibility holds
+    to machine precision. The augmented term (rho/2)(m'b - c + mu/rho)^2 is
+    the loss of one more design row sqrt(rho n) m with target
+    sqrt(rho n) (c - mu/rho), so each multiplier step is one plain sweep.
 
     A bare sweep/project alternation cycles: each projection inflates the
     coefficients and the following sweep pulls them straight back. Folding
-    the constraints into the swept objective (method of multipliers) removes
+    the constraint into the swept objective (method of multipliers) removes
     the cycle while keeping every update a soft-threshold step.
-
-    Within a sweep the constraint violations v_g = a + mean_g(Xb) - ybar_g
-    are running scalars (a step d on coef j moves v_g by M[g, j] * d); they
-    are recomputed exactly from the residuals after every sweep, and only
-    those exact values feed the multipliers and the stopping rule.
     """
     n, p = X.shape
-    lam = config.lam
-    groups = (split.r1, split.r2)
-    M = np.stack([X[g].mean(axis=0) for g in groups])  # (2, p) group means
-    m0, m1 = M[0].tolist(), M[1].tolist()
-    m_sq = M[0] ** 2 + M[1] ** 2
-    xj_sq = (X * X).sum(axis=0) / n
-    xsq = xj_sq.tolist()
-    cols = list(X.T)
+    n1, n2 = split.r1.size, split.r2.size
+    start = _fit_lasso(config, X, y)  # warm start, before the design is copied
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean()
+    A = np.empty((n + 1, p))  # centred design, then the multiplier row
+    Xc = np.subtract(X, x_mean, out=A[:n])
+    yc = y - y_mean
+    m = Xc[split.r1].mean(axis=0)
+    c = float(yc[split.r1].mean())
+    if not np.any(m):  # m'b = c < 0 has no solution
+        raise SingularSystemError(_INFEASIBLE)
+    cols = list(A.T)
+    msq = (Xc * Xc).mean(axis=0)
     tol = LINEAR_GROUP_TOL * n * max(float(np.std(y)), 1e-300)
-    mean_tol = tol / max(g.size for g in groups)  # per-group mean residual scale
+    mean_tol = tol / max(n1, n2)  # per-group mean residual scale
 
-    start = _fit_lasso(config, X, y)
     coef = start.coef.tolist()
-    intercept = float(start.intercept)
-    u0 = u1 = 0.0
-    rho = 1.0
-    resid = y - intercept - X @ start.coef
-    v0, v1 = (-float(resid[g].mean()) for g in groups)
-    prev_feas = np.inf
-
-    for sweep in range(config.lasso_max_sweeps):
-        # intercept: unpenalized, closed form over loss + constraint terms
-        grad = float(resid.mean()) - (u0 + u1) - rho * (v0 + v1)
-        new_a = intercept + grad / (1.0 + 2.0 * rho)
-        step = new_a - intercept
-        resid -= step
-        intercept = new_a
-        v0 += step
-        v1 += step
-
-        curv = (xj_sq + rho * m_sq).tolist()
-        max_delta = 0.0
-        for j in range(p):
-            cj = curv[j]
-            if cj == 0.0:
-                continue
-            old = coef[j]
-            a0, a1 = m0[j], m1[j]
-            z = (float(cols[j] @ resid) / n + xsq[j] * old
-                 - (a0 * (u0 + rho * (v0 - a0 * old)) + a1 * (u1 + rho * (v1 - a1 * old))))
-            new = _soft_threshold(z, lam) / cj
-            if new != old:
-                d = new - old
-                resid -= cols[j] * d
-                coef[j] = new
-                v0 += a0 * d
-                v1 += a1 * d
-                max_delta = max(max_delta, abs(d))
-
-        v0, v1 = (-float(resid[g].mean()) for g in groups)
-        u0 += rho * v0
-        u1 += rho * v1
-        feas = max(abs(v0), abs(v1))
+    resid = np.empty(n + 1)
+    resid[:n] = yc - Xc @ start.coef
+    v = float(m @ start.coef) - c  # group-1 mean residual; group 2's is -v n1/n2
+    mu, rho, row_rho, prev_feas = 0.0, 1.0, 0.0, np.inf
+    for sweep in range(LASSO_MAX_SWEEPS):
+        if rho != row_rho:
+            root, row_rho = np.sqrt(rho * n), rho
+            A[n] = root * m
+            col_msq = (msq + rho * m * m).tolist()
+        resid[n] = -root * (v + mu / rho)
+        max_delta = _lasso_sweep(cols, coef, resid, col_msq, config.lam, n)
+        v = float(m @ coef) - c
+        mu += rho * v
+        feas = abs(v) * max(1.0, n1 / n2)
         if max_delta < LASSO_COEF_TOL and feas <= mean_tol:
             break
         if sweep % 10 == 9:
@@ -548,24 +523,25 @@ def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
         raise ConvergenceError("constrained lasso did not converge")
 
     coef = np.asarray(coef)
-    pred = intercept + X @ coef
-    a, b = _solve_anchor(split, pred, y)  # exact feasibility finish
-    intercept = a + b * intercept
+    intercept = y_mean - x_mean @ coef
+    a, b = _solve_anchor(split, intercept + X @ coef, y)  # exact feasibility finish
+    intercept = float(a + b * intercept)
     coef = b * coef
-    pred = intercept + X @ coef
-    sums = _group_sums(split, pred, y)
-    return FittedModel(config=config, mode="umlr", p=p, n_train=n,
-                       coef=coef, intercept=float(intercept),
-                       group_residual_sums=sums, group_tol=tol)
+    sums = _group_sums(split, intercept + X @ coef, y)
+    return FittedModel(config=config, mode="umlr", p=p, n_train=n, coef=coef,
+                       intercept=intercept, group_residual_sums=sums, group_tol=tol)
 
 
 def fit_constrained_linear(config: LearnerConfig, X, y, split: SplitIndices) -> FittedModel:
     """Fit ridge or lasso subject to both anchoring constraints (umlr mode).
 
+    The centred intercept ybar - xbar'b zeroes the total residual sum, so one
+    constraint is left: u'b = s with u = sum_{r1} (x_i - xbar) and
+    s = sum_{r1} (y_i - ybar); u = 0 raises :class:`SingularSystemError`.
     Ridge corrects its plain solution along one direction of the same solve
-    (exact equality-constrained least squares); lasso runs method-of-multipliers
-    coordinate descent and finishes with one exact affine projection onto the
-    constraint set.
+    (exact equality-constrained least squares); lasso runs its plain sweep on
+    the centred design plus one multiplier row (method of multipliers) and
+    finishes with one exact affine projection onto the constraint set.
     """
     if config.kind not in ("ridge", "lasso"):
         raise InvalidInputError("constrained fitting applies to linear kinds; use "

@@ -1,5 +1,7 @@
 import hashlib
+import zlib
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from umlr import (
     fit_constrained_linear,
     partition_by_mean,
 )
-from umlr.learners import GBT_GROUP_TOL, LINEAR_GROUP_TOL
+from umlr.learners import GBT_GROUP_TOL, LASSO_COEF_TOL, LINEAR_GROUP_TOL
 
 RIDGE0 = LearnerConfig(kind="ridge", lam=0.0)
 
@@ -85,12 +87,13 @@ class TestLasso:
         mr = fit(RIDGE0, X, y)
         assert np.allclose(ml.coef, mr.coef, atol=1e-5)
 
-    def test_sweep_cap_raises(self):
+    def test_sweep_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 5))
         y = rng.standard_normal(30)
+        monkeypatch.setattr("umlr.learners.LASSO_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError):
-            fit(LearnerConfig(kind="lasso", lam=1e-6, lasso_max_sweeps=1), X, y)
+            fit(LearnerConfig(kind="lasso", lam=1e-6), X, y)
 
 
 def _lasso_n_gt_p():
@@ -108,8 +111,7 @@ def _lasso_p_gt_n():
 
 
 def _lasso_constant_column():
-    # the plain fit centers it away; the constrained fit sweeps raw columns,
-    # where it acts like a second, penalized intercept
+    # centring zeroes the column, so both fits skip it (zero curvature)
     rng = np.random.default_rng(33)
     X = rng.standard_normal((50, 6))
     X[:, 2] = 1.5
@@ -117,18 +119,14 @@ def _lasso_constant_column():
     return X, y, 0.05
 
 
-# Pinned lasso solutions: {index: value} of the nonzero coefficients, then
-# the intercept, for the plain fit and the constrained fit.
+# Pinned plain lasso solutions: {index: value} of the nonzero coefficients,
+# then the intercept.
 LASSO_GOLDEN = {
     "n_gt_p": (
         _lasso_n_gt_p,
         ({0: 1.4706914115727479, 1: -0.9253229196614852, 2: 0.34826123066168674,
           5: -0.01403157256962409, 6: 0.024208602352843046, 7: -0.016251735731101346},
          0.0109062729507447),
-        ({0: 1.6490549372693282, 1: -1.0566092889684786, 2: 0.36020371380511196,
-          5: -0.02511572546871173, 6: 0.010774536291149144, 7: -0.01353300338122386,
-          9: 0.0326998592749711},
-         0.06758916165427936),
     ),
     "p_gt_n": (
         _lasso_p_gt_n,
@@ -137,17 +135,11 @@ LASSO_GOLDEN = {
           24: -0.013501899651358956, 26: -0.04683115175301867, 29: -0.06536712486782274,
           30: -0.005739475100499928, 39: -0.017824911010992945},
          -0.07682317228181917),
-        ({0: 2.0366937484182026, 1: -1.5082464037076666, 2: 0.8428487632029888,
-          3: 0.398598848658911, 11: 0.010007672076714796, 24: -0.09655746555399079,
-          29: -0.10760444648555272, 30: -0.009637038869403149},
-         -0.1262325992685608),
     ),
     "constant_column": (
         _lasso_constant_column,
         ({0: 0.9475682243660407, 4: -0.9645673538271026, 5: 0.04739138413403817},
          0.09639200512028571),
-        ({0: 1.0203204898945006, 4: -1.0404607286271135, 5: 0.03953085129289717},
-         0.0893345957763225),
     ),
 }
 
@@ -161,30 +153,34 @@ def _dense(nonzero: dict, p: int) -> np.ndarray:
 class TestLassoGolden:
     @pytest.mark.parametrize("case", sorted(LASSO_GOLDEN))
     def test_plain_fit_exact(self, case):
-        make, (nonzero, intercept), _ = LASSO_GOLDEN[case]
+        make, (nonzero, intercept) = LASSO_GOLDEN[case]
         X, y, lam = make()
         m = fit(LearnerConfig(kind="lasso", lam=lam), X, y)
         assert np.array_equal(m.coef, _dense(nonzero, X.shape[1]))
         assert m.intercept == intercept
 
     @pytest.mark.parametrize("case", sorted(LASSO_GOLDEN))
-    def test_constrained_fit_within_1e9(self, case):
-        # the constrained sweep may reorder floating-point sums, not the solution
-        make, _, (nonzero, intercept) = LASSO_GOLDEN[case]
+    def test_constrained_fit_is_the_exact_optimum(self, case):
+        make, _ = LASSO_GOLDEN[case]
         X, y, lam = make()
         split = partition_by_mean(y)
         m = fit_constrained_linear(LearnerConfig(kind="lasso", lam=lam), X, y, split)
-        assert np.max(np.abs(m.coef - _dense(nonzero, X.shape[1]))) <= 1e-9
-        assert abs(m.intercept - intercept) <= 1e-9
+        intercept, coef, off_support = exact_constrained_lasso(X, y, lam, split, m.coef)
+        support = np.flatnonzero(m.coef)
+        assert np.array_equal(np.sign([float(coef[j]) for j in support]), np.sign(m.coef[support]))
+        assert all(abs(g) <= Fraction(lam) for g in off_support)
+        assert abs(m.intercept - float(intercept)) <= LASSO_COEF_TOL
+        assert np.max(np.abs(m.coef - [float(b) for b in coef])) <= LASSO_COEF_TOL
         s1, s2 = group_sums(m, X, y, split)
         tol = LINEAR_GROUP_TOL * X.shape[0] * np.std(y)
         assert abs(s1) <= tol and abs(s2) <= tol
 
-    def test_constrained_sweep_cap_raises(self):
+    def test_constrained_sweep_cap_raises(self, monkeypatch):
         # lam above lam_max: the plain warm start converges in its one sweep,
         # so the cap is hit by the constrained loop itself
         X, y, _ = _lasso_n_gt_p()
-        cfg = LearnerConfig(kind="lasso", lam=10.0, lasso_max_sweeps=1)
+        cfg = LearnerConfig(kind="lasso", lam=10.0)
+        monkeypatch.setattr("umlr.learners.LASSO_MAX_SWEEPS", 1)
         assert np.all(fit(cfg, X, y).coef == 0.0)
         with pytest.raises(ConvergenceError, match="constrained lasso"):
             fit_constrained_linear(cfg, X, y, partition_by_mean(y))
@@ -330,6 +326,14 @@ class TestPredict:
             m.predict([[1.0, 2.0]])
 
 
+def random_problems(rng, trials=8):
+    """Small Gaussian regression problems with n in [20, 50) and p in [1, 6)."""
+    for _ in range(trials):
+        n, p = int(rng.integers(20, 50)), int(rng.integers(1, 6))
+        X = rng.standard_normal((n, p))
+        yield X, X @ rng.standard_normal(p) + rng.standard_normal(n)
+
+
 class TestConstrainedLinear:
     def test_interpolating_fit_already_feasible(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -383,17 +387,26 @@ class TestConstrainedLinear:
     @pytest.mark.parametrize("kind,lam", [("ridge", 0.7), ("ridge", 25.0),
                                           ("lasso", 0.02), ("lasso", 0.2)])
     def test_constraints_hold_on_random_problems(self, kind, lam):
-        rng = np.random.default_rng(hash((kind, lam)) % 2**32)
-        for trial in range(8):
-            n, p = int(rng.integers(20, 50)), int(rng.integers(1, 6))
-            X = rng.standard_normal((n, p))
-            y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+        rng = np.random.default_rng(zlib.crc32(f"{kind}-{lam}".encode()))
+        for X, y in random_problems(rng):
             split = partition_by_mean(y)
             m = fit_constrained_linear(LearnerConfig(kind=kind, lam=lam), X, y, split)
             s1, s2 = group_sums(m, X, y, split)
-            tol = LINEAR_GROUP_TOL * n * np.std(y)
+            tol = LINEAR_GROUP_TOL * y.size * np.std(y)
             assert abs(s1) <= tol and abs(s2) <= tol
             assert m.mode == "umlr"
+
+    @pytest.mark.parametrize("seed,trial", [(36, 0), (202, 3), (360, 4)])
+    def test_lasso_with_one_covariate_pinned_by_the_constraint(self, seed, trial):
+        # p = 1 problems from the loop above where u is small: the constraint
+        # alone fixes the fit, so it equals the constrained ridge fit exactly
+        X, y = next(islice(random_problems(np.random.default_rng(seed)), trial, None))
+        assert X.shape[1] == 1
+        split = partition_by_mean(y)
+        m = fit_constrained_linear(LearnerConfig(kind="lasso", lam=0.2), X, y, split)
+        ref = np.array([float(v) for v in exact_constrained_ridge(X, y, 0.2, split)])
+        got = np.array([m.intercept, m.coef[0]])
+        assert np.all(np.abs(got - ref) <= 1e-10 * (1.0 + np.abs(ref))), (got, ref)
 
 
 def _ridge_n_gt_p():
@@ -452,6 +465,19 @@ class TestRidgeGolden:
         assert m.intercept == intercept
 
 
+def gauss_jordan(K) -> list[Fraction]:
+    """Solution of the square system held as augmented rows [A | b]."""
+    m = len(K)
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if K[r][c] != 0)
+        K[c], K[pivot] = K[pivot], K[c]
+        for r in range(m):
+            if r != c and K[r][c] != 0:
+                f = K[r][c] / K[c][c]
+                K[r] = [a - f * b for a, b in zip(K[r], K[c])]
+    return [K[i][m] / K[i][i] for i in range(m)]
+
+
 def exact_constrained_ridge(X, y, lam, split) -> list[Fraction]:
     """Intercept then coefficients of the ridge fit under both anchoring
     constraints, from its stationarity system solved in exact rational
@@ -471,14 +497,49 @@ def exact_constrained_ridge(X, y, lam, split) -> list[Fraction]:
         for j in range(p + 1):
             K[p + 1 + g][j] = K[j][p + 1 + g] = sum(D[r][j] for r in rows)
         K[p + 1 + g][m] = sum(yy[r] for r in rows)
-    for c in range(m):
-        pivot = next(r for r in range(c, m) if K[r][c] != 0)
-        K[c], K[pivot] = K[pivot], K[c]
-        for r in range(m):
-            if r != c and K[r][c] != 0:
-                f = K[r][c] / K[c][c]
-                K[r] = [a - f * b for a, b in zip(K[r], K[c])]
-    return [K[i][m] / K[i][i] for i in range(p + 1)]
+    return gauss_jordan(K)[:p + 1]
+
+
+def exact_constrained_lasso(X, y, lam, split, coef):
+    """The lasso fit under both anchoring constraints with the support and
+    signs of ``coef``, in exact rational arithmetic on the floats' values.
+
+    With the centred intercept ybar - xbar'b one constraint u'b = s is left
+    (u, s: the below-mean group's centred covariate and outcome sums). On
+    the support S with signs sigma the optimum solves
+    (1/n) Xc_S'(Xc_S b - yc) + lam sigma + nu u_S = 0 and u_S'b = s.
+    Returns the intercept, all p coefficients, and for each coordinate off
+    S its subgradient Xc_j'(yc - Xc b)/n - nu u_j, which is at most lam in
+    absolute value at the optimum.
+    """
+    n, p = X.shape
+    D = [[Fraction(float(v)) for v in row] for row in X]
+    yy = [Fraction(float(v)) for v in y]
+    x_mean = [sum(row[j] for row in D) / n for j in range(p)]
+    y_mean = sum(yy) / n
+    Xc = [[row[j] - x_mean[j] for j in range(p)] for row in D]
+    yc = [v - y_mean for v in yy]
+    r1 = split.r1.tolist()
+    u = [sum(Xc[r][j] for r in r1) for j in range(p)]
+    s = sum(yc[r] for r in r1)
+    S = np.flatnonzero(coef).tolist()
+    k = len(S)
+    K = [[Fraction(0)] * (k + 2) for _ in range(k + 1)]
+    for a, i in enumerate(S):
+        for b, j in enumerate(S):
+            K[a][b] = sum(row[i] * row[j] for row in Xc) / n
+        K[a][k] = K[k][a] = u[i]
+        K[a][k + 1] = sum(row[i] * v for row, v in zip(Xc, yc)) / n \
+            - Fraction(lam) * int(np.sign(coef[i]))
+    K[k][k + 1] = s
+    *b_S, nu = gauss_jordan(K)
+    b = [Fraction(0)] * p
+    for i, v in zip(S, b_S):
+        b[i] = v
+    resid = [v - sum(row[j] * b[j] for j in S) for row, v in zip(Xc, yc)]
+    off_support = [sum(row[j] * r for row, r in zip(Xc, resid)) / n - nu * u[j]
+                   for j in range(p) if j not in S]
+    return y_mean - sum(x_mean[j] * b[j] for j in S), b, off_support
 
 
 def assert_matches_exact(X, y, lam):
@@ -514,9 +575,10 @@ class TestConstrainedRidgeExact:
         # outcome sum s is negative
         X = np.full((10, 1), 3.0)
         y = np.arange(10.0)
-        with pytest.raises(SingularSystemError):
-            fit_constrained_linear(LearnerConfig(kind="ridge", lam=lam), X, y,
-                                   partition_by_mean(y))
+        for kind in ("ridge", "lasso"):
+            with pytest.raises(SingularSystemError, match="infeasible"):
+                fit_constrained_linear(LearnerConfig(kind=kind, lam=lam), X, y,
+                                       partition_by_mean(y))
 
     def test_rank_deficient_design_at_lam_zero_raises_in_both_modes(self):
         rng = np.random.default_rng(12)
