@@ -16,7 +16,6 @@ from umlr import (
     estimate_eta,
     fit,
     fit_constrained_linear,
-    partition_by_mean,
 )
 
 rng = np.random.default_rng(7)
@@ -25,7 +24,6 @@ X = rng.standard_normal((n, p))
 beta = np.zeros(p)
 beta[:10] = 0.5
 y = X @ beta + rng.standard_normal(n)
-split = partition_by_mean(y)
 
 
 def describe(tag, model):
@@ -38,13 +36,13 @@ def describe(tag, model):
 
 ridge = LearnerConfig(kind="ridge", lam=60.0)
 describe("ridge (plain)", fit(ridge, X, y))
-describe("ridge (constrained)", fit_constrained_linear(ridge, X, y, split))
-describe("ridge (anchored)", anchor_recalibrate(fit(ridge, X, y), X, y, split))
+describe("ridge (constrained)", fit_constrained_linear(ridge, X, y))
+describe("ridge (anchored)", anchor_recalibrate(fit(ridge, X, y), X, y))
 
 gbt = LearnerConfig(kind="gbt", n_trees=120, max_depth=2, learning_rate=0.1)
 base = fit(gbt, X, y)
 describe("gbt (plain)", base)
-describe("gbt (anchored)", anchor_recalibrate(base, X, y, split))
+describe("gbt (anchored)", anchor_recalibrate(base, X, y))
 
 print("""
 The constrained/anchored rows drive both group residual sums to ~0 (and

@@ -98,11 +98,19 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _utf8_lines(fh, path: str, error: type[InvalidInputError]):
+    """The lines of a file opened as UTF-8; other bytes raise ``error``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_config_file(path: str) -> dict:
     """Parse a ``key = value`` config file; '#' starts a comment."""
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_utf8_lines(fh, path, InvalidInputError), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -118,22 +126,26 @@ def load_config_file(path: str) -> dict:
 def _read_csv(path: str, select) -> tuple[list[str], list[int], np.ndarray]:
     """Read a comma-separated UTF-8 file with a header row.
 
-    ``select(header)`` names the columns to read. Returns those names, the
-    line number of each non-blank data row, and the rows' values as a float
-    table. Every row must have as many fields as the header.
+    ``select(header)`` names the columns to read, each once and each found
+    once in the header. Returns those names, the line number of each
+    non-blank data row, and the rows' values as a float table. Every row
+    must have as many fields as the header.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path, CsvParseError))
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvParseError(f"{path}: empty file") from None
         cols = select(header)
-        for col in cols:
+        for k, col in enumerate(cols):
             if col not in header:
                 raise CsvParseError(f"{path}: column {col!r} not found in header {header}")
-        col_idx = {h: i for i, h in enumerate(header)}
-        picks = [(col, col_idx[col]) for col in cols]
+            if header.count(col) > 1:
+                raise CsvParseError(f"{path}: column {col!r} appears more than once in the header")
+            if col in cols[:k]:
+                raise CsvParseError(f"{path}: column {col!r} is selected more than once")
+        picks = [(col, header.index(col)) for col in cols]
 
         lines, rows = [], []
         for rownum, raw in enumerate(reader, start=2):  # header is line 1

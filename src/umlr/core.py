@@ -1,14 +1,15 @@
 """Shared data model: datasets and the two-group outcome split.
 
-The split divides training units into a below-or-at-mean group and an
-above-mean group of the outcome; the two per-group residual-sum constraints
-that define unbiased (mean-anchored) fitting are stated over exactly these
-index sets.
+The split divides training units into a below-or-at-mean group r1 (ties at
+the mean included) and an above-mean group r2 of the outcome; the two
+per-group residual-sum constraints that define unbiased (mean-anchored)
+fitting are stated over exactly these index sets. The anchoring functions
+of :mod:`umlr.learners` take the split of the outcome they fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,30 +106,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitIndices:
-    """Disjoint, complementary index sets partitioning {0..n-1}.
-
-    ``r1`` holds units with outcome at or below the sample mean, ``r2`` the
-    rest. Stored sorted so iteration order is platform-independent.
-    """
+    """The anchoring groups :func:`partition_by_mean` returns: ``r1`` (at or
+    below the mean) and ``r2`` (above), read-only and in increasing order."""
 
     r1: np.ndarray
     r2: np.ndarray
-    n: int = field(default=0)
-
-    def __post_init__(self):
-        r1 = np.sort(np.asarray(self.r1, dtype=np.int64))
-        r2 = np.sort(np.asarray(self.r2, dtype=np.int64))
-        n = self.n if self.n else r1.size + r2.size
-        combined = np.concatenate([r1, r2])
-        if combined.size != n or not np.array_equal(np.sort(combined), np.arange(n)):
-            raise InvalidInputError("r1 and r2 must disjointly cover 0..n-1")
-        object.__setattr__(self, "r1", _frozen(r1))
-        object.__setattr__(self, "r2", _frozen(r2))
-        object.__setattr__(self, "n", int(n))
-
-    @property
-    def both_nonempty(self) -> bool:
-        return self.r1.size > 0 and self.r2.size > 0
 
 
 def partition_by_mean(y) -> SplitIndices:
@@ -153,4 +135,4 @@ def partition_by_mean(y) -> SplitIndices:
             f"{empty}-mean outcome group is empty (mean {mean!r}); "
             "cannot form two anchoring groups"
         )
-    return SplitIndices(r1, r2, n=y.size)
+    return SplitIndices(_frozen(r1), _frozen(r2))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, partition_by_mean
+from .core import Dataset
 from .diagnostics import SpbReport, evaluate_predictions
 from .errors import (
     ConvergenceError,
@@ -235,24 +235,6 @@ def fit_propensity(X, t, l2: float = 1.0, clip=DEFAULT_CLIP) -> PropensityModel:
 # outcome-regression machinery and the nuisance memo
 # ---------------------------------------------------------------------------
 
-def _fit_arm(cfg: LearnerConfig, mode: str, X: np.ndarray, y: np.ndarray,
-             umlr_route: str = "auto", base=None) -> FittedModel:
-    """One outcome model in ``mode``; the anchored route wraps ``base()``, or
-    a fresh plain fit when no ``base`` is given."""
-    if mode not in MODES or umlr_route not in UMLR_ROUTES:
-        check_choice("mode", mode, MODES)
-        check_choice("umlr_route", umlr_route, UMLR_ROUTES)
-    if mode == "mlr":
-        return fit(cfg, X, y)
-    split = partition_by_mean(y)
-    route = umlr_route
-    if route == "auto":
-        route = "constrained" if cfg.kind in ("ridge", "lasso") else "anchored"
-    if route == "constrained":
-        return fit_constrained_linear(cfg, X, y, split)
-    return anchor_recalibrate(base() if base else fit(cfg, X, y), X, y, split)
-
-
 def _assign_folds(data: Dataset, folds: int) -> np.ndarray:
     """Fold of each row, dealt round-robin within each arm along a row order
     set by content only, so it is invariant to permutations of the rows."""
@@ -308,13 +290,21 @@ class Nuisances:
     # model and predictions inline the memo lookup: they sit on the
     # bootstrap hot path, where every memo is new
     def model(self, cfg: LearnerConfig, mode: str, umlr_route: str, part) -> FittedModel:
-        """The outcome model of ``part``; an anchored one wraps the plain fit."""
+        """The outcome model of ``part``; the "auto" umlr route is constrained
+        for ridge and lasso, anchored (wrapping the plain fit) for gbt."""
         key = (cfg, mode, umlr_route if mode == "umlr" else "auto", part)
         model = self._memo.get(key)
         if model is None:
+            check_choice("mode", mode, MODES)
+            check_choice("umlr_route", umlr_route, UMLR_ROUTES)
             X, y = self._training(part)
-            base = lambda: self._get((cfg, "mlr", "auto", part), lambda: fit(cfg, X, y))  # noqa: E731
-            model = self._memo[key] = _fit_arm(cfg, mode, X, y, umlr_route, base)
+            if mode == "mlr":
+                model = fit(cfg, X, y)
+            elif umlr_route == "constrained" or (umlr_route == "auto" and cfg.kind != "gbt"):
+                model = fit_constrained_linear(cfg, X, y)
+            else:
+                model = anchor_recalibrate(self.model(cfg, "mlr", "auto", part), X, y)
+            self._memo[key] = model
         return model
 
     def predictions(self, cfg: LearnerConfig, mode: str, umlr_route: str, part) -> np.ndarray:

@@ -8,7 +8,9 @@ mean-anchoring constraints
 
     sum_{i in r1} (f(X_i) - y_i) = 0   and   sum_{i in r2} (f(X_i) - y_i) = 0
 
-over the below-mean / above-mean outcome groups (``umlr`` mode). Linear kinds
+over the groups r1 = {i: y_i <= mean(y)} and r2 = {i: y_i > mean(y)} of the
+outcome being fitted (``umlr`` mode); each anchoring function splits the y it
+is given, so the groups cannot come from another outcome. Linear kinds
 solve the equality-constrained problem in centred form, where the intercept
 meets one constraint and one is left on the coefficients (ridge by a rank-1
 correction of its plain solve, lasso by the method of multipliers on its plain
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SplitIndices
+from .core import SplitIndices, partition_by_mean
 from .errors import (
     ConvergenceError,
     InvalidInputError,
@@ -116,15 +118,13 @@ class _Tree:
 class FittedModel:
     """A trained regressor plus optional anchoring recalibration.
 
-    ``mode`` is ``"umlr"`` only when the training residual group sums meet
-    their tolerance (1e-8 * n * sd(y) for linear kinds, 1e-6 * n * sd(y) for
-    gbt); construction enforces this.
+    An anchored (``umlr``) model carries its training residual group sums,
+    which must meet their tolerance (1e-8 * n * sd(y) for linear kinds,
+    1e-6 * n * sd(y) for gbt); construction enforces this.
     """
 
     config: LearnerConfig
-    mode: str  # "mlr" or "umlr"
     p: int
-    n_train: int
     coef: np.ndarray | None = None
     intercept: float | None = None
     trees: tuple[_Tree, ...] | None = None
@@ -135,11 +135,9 @@ class FittedModel:
     group_tol: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("mlr", "umlr"):
-            raise InvalidInputError(f"mode must be 'mlr' or 'umlr', got {self.mode!r}")
-        if self.mode == "umlr":
-            if self.group_residual_sums is None or self.group_tol is None:
-                raise InvalidInputError("umlr model must carry residual group sums")
+        if self.group_residual_sums is not None:
+            if self.group_tol is None:
+                raise InvalidInputError("an anchored model must carry its group tolerance")
             s1, s2 = self.group_residual_sums
             if not (abs(s1) <= self.group_tol and abs(s2) <= self.group_tol):  # nan fails
                 raise InvalidInputError(
@@ -149,6 +147,10 @@ class FittedModel:
             c = np.asarray(self.coef, dtype=float)
             c.setflags(write=False)
             object.__setattr__(self, "coef", c)
+
+    @property
+    def mode(self) -> str:
+        return "mlr" if self.group_residual_sums is None else "umlr"
 
     def _base_predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef is not None:
@@ -224,8 +226,8 @@ def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray,
         if not np.linalg.norm(fitted - rhs) <= RIDGE_RESID_TOL * scale:  # nan fails
             raise SingularSystemError("penalized normal equations solved inaccurately")
     if split is None:
-        return FittedModel(config=config, mode="mlr", p=p, n_train=n,
-                           coef=sol, intercept=float(y_mean - x_mean @ sol))
+        return FittedModel(config=config, p=p, coef=sol,
+                           intercept=float(y_mean - x_mean @ sol))
     (coef, w), u = sol.T, rhs[:, 1]
     uw = u @ w
     if not uw > 0.0:  # u = 0, so u'b = s < 0 has no solution
@@ -236,8 +238,8 @@ def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray,
     tol = LINEAR_GROUP_TOL * n * max(float(np.sqrt(yc @ yc / n)), 1e-300)  # sd(y), cheaply
     if not (abs(sums[0]) <= tol and abs(sums[1]) <= tol):
         raise SingularSystemError("constrained ridge solution violates the anchoring constraints")
-    return FittedModel(config=config, mode="umlr", p=p, n_train=n, coef=coef,
-                       intercept=intercept, group_residual_sums=sums, group_tol=tol)
+    return FittedModel(config=config, p=p, coef=coef, intercept=intercept,
+                       group_residual_sums=sums, group_tol=tol)
 
 
 def _soft_threshold(z: float, lam: float) -> float:
@@ -290,8 +292,7 @@ def _fit_lasso(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
     else:
         raise ConvergenceError("lasso coordinate descent did not converge")
     intercept = y_mean - x_mean @ coef
-    return FittedModel(config=config, mode="mlr", p=p, n_train=n,
-                       coef=coef, intercept=float(intercept))
+    return FittedModel(config=config, p=p, coef=coef, intercept=float(intercept))
 
 
 def _best_split(xs: np.ndarray, rs: np.ndarray, min_leaf: int):
@@ -395,8 +396,7 @@ def _fit_gbt(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedModel
         resid = y - pred
         trees.append(_grow_tree(X, order, xs, resid, pred, config))
         mse_path.append(float(np.mean((y - pred) ** 2)))
-    return FittedModel(config=config, mode="mlr", p=p, n_train=n,
-                       trees=tuple(trees), init_value=init,
+    return FittedModel(config=config, p=p, trees=tuple(trees), init_value=init,
                        train_mse_path=tuple(mse_path))
 
 
@@ -419,13 +419,6 @@ def _group_sums(split: SplitIndices, pred: np.ndarray, y: np.ndarray) -> tuple[f
     return float(resid[split.r1].sum()), float(resid[split.r2].sum())
 
 
-def _check_split(split: SplitIndices, n: int):
-    if split.n != n:
-        raise InvalidInputError(f"split covers {split.n} units but data has {n}")
-    if not split.both_nonempty:
-        raise InvalidInputError("both split groups must be nonempty for anchored fitting")
-
-
 def _solve_anchor(split: SplitIndices, base_pred: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Exact 2x2 anchoring system: n_g*a + b*sum_g(pred) = sum_g(y)."""
     n1, n2 = split.r1.size, split.r2.size
@@ -442,15 +435,17 @@ def _solve_anchor(split: SplitIndices, base_pred: np.ndarray, y: np.ndarray) -> 
     return float(a), float(b)
 
 
-def anchor_recalibrate(base: FittedModel, X_train, y_train, split: SplitIndices) -> FittedModel:
+def anchor_recalibrate(base: FittedModel, X_train, y_train) -> FittedModel:
     """Wrap a fitted model in the affine layer a + b * f(x) that zeroes both
     training residual group sums exactly.
 
+    The groups are the split of ``y_train`` at its mean, ties at the mean in
+    r1; a constant ``y_train`` raises :class:`DegeneratePartitionError`.
     Works for any base learner; it is the umlr route for tree ensembles,
     where the constrained objective has no tractable exact solution.
     """
     X_train, y_train = _validate_xy(X_train, y_train)
-    _check_split(split, y_train.shape[0])
+    split = partition_by_mean(y_train)
     # an anchored base is solved on its plain predictions: affine layers
     # compose and the 2x2 system has one solution, so the layer is the same
     raw = replace(base, anchor=None).predict(X_train)
@@ -459,13 +454,7 @@ def anchor_recalibrate(base: FittedModel, X_train, y_train, split: SplitIndices)
     sums = _group_sums(split, new_pred, y_train)
     tol_scale = GBT_GROUP_TOL if base.trees is not None else LINEAR_GROUP_TOL
     tol = tol_scale * y_train.shape[0] * max(float(np.std(y_train)), 1e-300)
-    return replace(
-        base,
-        mode="umlr",
-        anchor=(a, b),
-        group_residual_sums=sums,
-        group_tol=tol,
-    )
+    return replace(base, anchor=(a, b), group_residual_sums=sums, group_tol=tol)
 
 
 def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
@@ -528,14 +517,16 @@ def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
     intercept = float(a + b * intercept)
     coef = b * coef
     sums = _group_sums(split, intercept + X @ coef, y)
-    return FittedModel(config=config, mode="umlr", p=p, n_train=n, coef=coef,
-                       intercept=intercept, group_residual_sums=sums, group_tol=tol)
+    return FittedModel(config=config, p=p, coef=coef, intercept=intercept,
+                       group_residual_sums=sums, group_tol=tol)
 
 
-def fit_constrained_linear(config: LearnerConfig, X, y, split: SplitIndices) -> FittedModel:
+def fit_constrained_linear(config: LearnerConfig, X, y) -> FittedModel:
     """Fit ridge or lasso subject to both anchoring constraints (umlr mode).
 
-    The centred intercept ybar - xbar'b zeroes the total residual sum, so one
+    The groups are the split of ``y`` at its mean, ties at the mean in r1; a
+    constant ``y`` raises :class:`DegeneratePartitionError`. The centred
+    intercept ybar - xbar'b zeroes the total residual sum, so one
     constraint is left: u'b = s with u = sum_{r1} (x_i - xbar) and
     s = sum_{r1} (y_i - ybar); u = 0 raises :class:`SingularSystemError`.
     Ridge corrects its plain solution along one direction of the same solve
@@ -547,7 +538,7 @@ def fit_constrained_linear(config: LearnerConfig, X, y, split: SplitIndices) -> 
         raise InvalidInputError("constrained fitting applies to linear kinds; use "
                                 "anchor_recalibrate for gbt")
     X, y = _validate_xy(X, y)
-    _check_split(split, y.shape[0])
+    split = partition_by_mean(y)
     if config.kind == "ridge":
         return _fit_ridge(config, X, y, split)
     return _fit_constrained_lasso(config, X, y, split)

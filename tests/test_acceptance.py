@@ -20,7 +20,6 @@ from umlr import (
     estimate_eta,
     fit,
     fit_constrained_linear,
-    partition_by_mean,
     run_monte_carlo,
 )
 from umlr.learners import GBT_GROUP_TOL, LINEAR_GROUP_TOL
@@ -92,8 +91,7 @@ def test_criterion_2_constraint_satisfaction_bulk():
         X, y = random_problem(20, 60, 7)
         kind = "ridge" if i % 2 == 0 else "lasso"
         lam = float(rng.uniform(0.01, 5.0)) if kind == "ridge" else float(rng.uniform(0.01, 0.3))
-        split = partition_by_mean(y)
-        m = fit_constrained_linear(LearnerConfig(kind=kind, lam=lam), X, y, split)
+        m = fit_constrained_linear(LearnerConfig(kind=kind, lam=lam), X, y)
         s1, s2 = m.group_residual_sums
         tol = LINEAR_GROUP_TOL * len(y) * np.std(y)
         assert abs(s1) <= tol and abs(s2) <= tol, f"linear fit {i}: {s1}, {s2} > {tol}"
@@ -102,8 +100,7 @@ def test_criterion_2_constraint_satisfaction_bulk():
         X, y = random_problem(40, 90, 6)
         cfg = LearnerConfig(kind="gbt", n_trees=30, max_depth=2, learning_rate=0.2,
                             min_leaf=5)
-        split = partition_by_mean(y)
-        m = anchor_recalibrate(fit(cfg, X, y), X, y, split)
+        m = anchor_recalibrate(fit(cfg, X, y), X, y)
         s1, s2 = m.group_residual_sums
         tol = GBT_GROUP_TOL * len(y) * np.std(y)
         assert abs(s1) <= tol and abs(s2) <= tol, f"gbt fit {i}: {s1}, {s2} > {tol}"

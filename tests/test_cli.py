@@ -76,6 +76,17 @@ class TestLoadCsv:
         assert data.p == 2
         assert data.X[0].tolist() == [1.0, 0.5]
 
+    @pytest.mark.parametrize("header,outcome,covs", [
+        ("y,t,x1,x2", "y", ["x1", "x1"]),  # a covariate named twice
+        ("y,t,x1,x2", "x1", ["x1", "x2"]),  # the outcome reused as a covariate
+        ("y,t,x1,x1", "y", "all-others"),  # a selected name the header repeats
+    ])
+    def test_selected_columns_must_be_distinct(self, tmp_path, header, outcome, covs):
+        f = tmp_path / "dup.csv"
+        f.write_text(header + "\n1.0,0,0.5,0.2\n2.0,1,0.1,0.3\n")
+        with pytest.raises(CsvParseError, match="'x1'.*more than once"):
+            load_csv(str(f), outcome, "t", covs)
+
     def test_wide_cohort_shape(self, tmp_path):
         # wide file shaped like a real cohort export: 40 rows, 35 covariates
         rng = np.random.default_rng(0)
@@ -117,6 +128,15 @@ class TestConfigFile:
         rep = json.loads(out.read_text())
         assert rep["config"]["n"] == 100  # flag wins
         assert rep["config"]["reps"] == 10  # file wins over default
+
+    def test_non_utf8_file_exits_3(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# r\xe9sum\xe9\nn = 60\n".encode("latin-1"))
+        out = tmp_path / "r.json"
+        r = run_cli(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert_contract_error(r, "invalid_input")
+        assert str(cfg) in json.loads(r.stderr)["error"]["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["n = abc", "lam = 1,5"])
     def test_unconvertible_value_exits_3(self, tmp_path, line):
@@ -391,6 +411,20 @@ class TestEstimateCommand:
         err = json.loads(r.stderr)
         assert err["error"]["code"] == "invalid_input"
 
+    def test_non_utf8_data_exits_3(self, tmp_path):
+        f = tmp_path / "cohort.csv"
+        f.write_bytes(b"y,t,x1\n1.0,0,0.5\n2.0,1,\xff\n")
+        r = run_cli(["estimate", "--data", str(f), "--estimator", "t", "--bootstrap", "0"])
+        assert_contract_error(r, "csv_parse")
+        assert str(f) in json.loads(r.stderr)["error"]["message"]
+
+    def test_outcome_reused_as_covariate_exits_3(self, tmp_path):
+        data = write_cohort(tmp_path / "cohort.csv", n=60)
+        r = run_cli(["estimate", "--data", str(data), "--estimator", "t", "--bootstrap", "0",
+                     "--outcome-col", "x1", "--covariate-cols", "x1,x2"])
+        assert_contract_error(r, "csv_parse")
+        assert "'x1' is selected more than once" in json.loads(r.stderr)["error"]["message"]
+
     def test_bad_treatment_value_exits_3(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("y,t,x1\n1.0,0,0.5\n2.0,0.4,0.1\n")
@@ -521,6 +555,19 @@ class TestDiagnoseCommand:
         r = run_cli(["diagnose", "--pred-file", str(f), "--out", str(tmp_path / "d.json")])
         assert_contract_error(r, "csv_parse")
         assert f"{f}:3:" in json.loads(r.stderr)["error"]["message"]
+
+    def test_non_utf8_file_exits_3(self, tmp_path):
+        f = tmp_path / "preds.csv"
+        f.write_bytes(b"y,y_hat\n1.0,1.0\n2.0,\xff\n")
+        r = run_cli(["diagnose", "--pred-file", str(f)])
+        assert_contract_error(r, "csv_parse")
+        assert str(f) in json.loads(r.stderr)["error"]["message"]
+
+    def test_same_column_twice_exits_3(self, tmp_path):
+        f = tmp_path / "preds.csv"
+        f.write_text("y,y_hat\n1.0,1.0\n2.0,2.5\n3.0,2.0\n")
+        r = run_cli(["diagnose", "--pred-file", str(f), "--y-col", "y", "--yhat-col", "y"])
+        assert_contract_error(r, "csv_parse")
 
     def test_missing_column_exit_code(self, tmp_path):
         f = tmp_path / "preds.csv"

@@ -7,7 +7,6 @@ from umlr import (
     Dataset,
     DegeneratePartitionError,
     InvalidInputError,
-    SplitIndices,
     partition_by_mean,
 )
 
@@ -50,19 +49,6 @@ class TestDataset:
         assert sub.t.tolist() == [1, 0, 1]
 
 
-class TestSplitIndices:
-    def test_must_cover_range(self):
-        with pytest.raises(InvalidInputError):
-            SplitIndices(r1=[0, 1], r2=[1, 2])
-        with pytest.raises(InvalidInputError):
-            SplitIndices(r1=[0], r2=[2])
-
-    def test_sorted_storage(self):
-        s = SplitIndices(r1=[2, 0], r2=[1, 3])
-        assert s.r1.tolist() == [0, 2]
-        assert s.r2.tolist() == [1, 3]
-
-
 class TestPartitionByMean:
     def test_basic(self):
         s = partition_by_mean([1, 2, 3])  # mean 2, ties at mean go low
@@ -95,9 +81,11 @@ class TestPartitionByMean:
                 partition_by_mean(y)
             return
         s = partition_by_mean(y)
-        assert s.both_nonempty or np.ptp(y) == 0
+        assert s.r1.size and s.r2.size
         mean = np.mean(y)
         assert np.all(y[s.r1] <= mean)
         assert np.all(y[s.r2] > mean)
         together = np.sort(np.concatenate([s.r1, s.r2]))
         assert together.tolist() == list(range(len(y)))
+        for group in (s.r1, s.r2):  # increasing and read-only, as returned
+            assert np.all(np.diff(group) > 0) and not group.flags.writeable

@@ -185,10 +185,9 @@ class TestXLearner:
         prop_even = PropensityModel(coef=np.zeros(d.p), intercept=0.0)
         est = x_learner(d, cfg, "mlr", prop_even)
         # reconstruct manually with equal weights
-        from umlr.estimators import _fit_arm
         i0, i1 = d.arm_indices(0), d.arm_indices(1)
-        m0 = _fit_arm(cfg, "mlr", d.X[i0], d.y[i0])
-        m1 = _fit_arm(cfg, "mlr", d.X[i1], d.y[i1])
+        m0 = fit(cfg, d.X[i0], d.y[i0])
+        m1 = fit(cfg, d.X[i1], d.y[i1])
         d1 = d.y[i1] - m0.predict(d.X[i1])
         d0 = m1.predict(d.X[i0]) - d.y[i0]
         tau1 = fit(cfg, d.X[i1], d1)

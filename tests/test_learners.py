@@ -8,6 +8,7 @@ import pytest
 
 from umlr import (
     ConvergenceError,
+    DegeneratePartitionError,
     FittedModel,
     InvalidInputError,
     LearnerConfig,
@@ -164,7 +165,7 @@ class TestLassoGolden:
         make, _ = LASSO_GOLDEN[case]
         X, y, lam = make()
         split = partition_by_mean(y)
-        m = fit_constrained_linear(LearnerConfig(kind="lasso", lam=lam), X, y, split)
+        m = fit_constrained_linear(LearnerConfig(kind="lasso", lam=lam), X, y)
         intercept, coef, off_support = exact_constrained_lasso(X, y, lam, split, m.coef)
         support = np.flatnonzero(m.coef)
         assert np.array_equal(np.sign([float(coef[j]) for j in support]), np.sign(m.coef[support]))
@@ -183,7 +184,7 @@ class TestLassoGolden:
         monkeypatch.setattr("umlr.learners.LASSO_MAX_SWEEPS", 1)
         assert np.all(fit(cfg, X, y).coef == 0.0)
         with pytest.raises(ConvergenceError, match="constrained lasso"):
-            fit_constrained_linear(cfg, X, y, partition_by_mean(y))
+            fit_constrained_linear(cfg, X, y)
 
 
 class TestGbt:
@@ -309,7 +310,7 @@ class TestPredict:
         y = np.array([1.0, 2.0, 3.0, 4.0])
         X = (0.5 * y).reshape(-1, 1)
         base = fit(RIDGE0, X, 0.5 * y)
-        anchored = anchor_recalibrate(base, X, y, partition_by_mean(y))
+        anchored = anchor_recalibrate(base, X, y)
         a, b = anchored.anchor
         assert (a, b) == pytest.approx((0.0, 2.0))
         # base output 3 -> anchored 0 + 2*3 = 6
@@ -338,7 +339,7 @@ class TestConstrainedLinear:
     def test_interpolating_fit_already_feasible(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        m = fit_constrained_linear(RIDGE0, X, y, partition_by_mean(y))
+        m = fit_constrained_linear(RIDGE0, X, y)
         assert np.allclose(m.coef, [1.0], atol=1e-9)
         assert abs(m.intercept) < 1e-9
         assert m.mode == "umlr"
@@ -354,7 +355,7 @@ class TestConstrainedLinear:
         y = np.array([1.0, 3.0, 2.0, 4.0])
         split = partition_by_mean(y)
         assert split.r1.tolist() == [0, 2] and split.r2.tolist() == [1, 3]
-        m = fit_constrained_linear(RIDGE0, X, y, split)
+        m = fit_constrained_linear(RIDGE0, X, y)
         assert m.intercept == pytest.approx(-2.5, abs=1e-10)
         assert m.coef[0] == pytest.approx(2.0, abs=1e-10)
         s1, s2 = group_sums(m, X, y, split)
@@ -362,10 +363,12 @@ class TestConstrainedLinear:
 
     def test_constant_outcome_degenerate(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
-        with pytest.raises(Exception) as exc_info:
-            split = partition_by_mean(np.array([2.0, 2.0, 2.0, 2.0]))
-            fit_constrained_linear(RIDGE0, X, np.array([2.0, 2.0, 2.0, 2.0]), split)
-        assert "mean" in str(exc_info.value) or "group" in str(exc_info.value)
+        y = np.full(4, 2.0)
+        for cfg in (RIDGE0, LearnerConfig(kind="lasso", lam=0.1)):
+            with pytest.raises(DegeneratePartitionError, match="group is empty"):
+                fit_constrained_linear(cfg, X, y)
+        with pytest.raises(DegeneratePartitionError, match="group is empty"):
+            anchor_recalibrate(fit(RIDGE0, X, y), X, y)
 
     def test_ridge_consistency_with_unconstrained_at_lam_zero(self):
         # noiseless linear outcome: the unconstrained optimum has zero
@@ -375,14 +378,13 @@ class TestConstrainedLinear:
         beta = rng.standard_normal(4)
         y = X @ beta + 1.0
         un = fit(RIDGE0, X, y)
-        con = fit_constrained_linear(RIDGE0, X, y, partition_by_mean(y))
+        con = fit_constrained_linear(RIDGE0, X, y)
         assert np.allclose(con.coef, un.coef, atol=1e-8)
         assert con.intercept == pytest.approx(un.intercept, abs=1e-8)
 
     def test_gbt_rejected(self):
         with pytest.raises(InvalidInputError):
-            fit_constrained_linear(LearnerConfig(kind="gbt"), [[1.0], [2.0]],
-                                   [1.0, 2.0], partition_by_mean([1.0, 2.0]))
+            fit_constrained_linear(LearnerConfig(kind="gbt"), [[1.0], [2.0]], [1.0, 2.0])
 
     @pytest.mark.parametrize("kind,lam", [("ridge", 0.7), ("ridge", 25.0),
                                           ("lasso", 0.02), ("lasso", 0.2)])
@@ -390,7 +392,7 @@ class TestConstrainedLinear:
         rng = np.random.default_rng(zlib.crc32(f"{kind}-{lam}".encode()))
         for X, y in random_problems(rng):
             split = partition_by_mean(y)
-            m = fit_constrained_linear(LearnerConfig(kind=kind, lam=lam), X, y, split)
+            m = fit_constrained_linear(LearnerConfig(kind=kind, lam=lam), X, y)
             s1, s2 = group_sums(m, X, y, split)
             tol = LINEAR_GROUP_TOL * y.size * np.std(y)
             assert abs(s1) <= tol and abs(s2) <= tol
@@ -403,7 +405,7 @@ class TestConstrainedLinear:
         X, y = next(islice(random_problems(np.random.default_rng(seed)), trial, None))
         assert X.shape[1] == 1
         split = partition_by_mean(y)
-        m = fit_constrained_linear(LearnerConfig(kind="lasso", lam=0.2), X, y, split)
+        m = fit_constrained_linear(LearnerConfig(kind="lasso", lam=0.2), X, y)
         ref = np.array([float(v) for v in exact_constrained_ridge(X, y, 0.2, split)])
         got = np.array([m.intercept, m.coef[0]])
         assert np.all(np.abs(got - ref) <= 1e-10 * (1.0 + np.abs(ref))), (got, ref)
@@ -544,7 +546,7 @@ def exact_constrained_lasso(X, y, lam, split, coef):
 
 def assert_matches_exact(X, y, lam):
     split = partition_by_mean(y)
-    m = fit_constrained_linear(LearnerConfig(kind="ridge", lam=lam), X, y, split)
+    m = fit_constrained_linear(LearnerConfig(kind="ridge", lam=lam), X, y)
     ref = np.array([float(v) for v in exact_constrained_ridge(X, y, lam, split)])
     got = np.concatenate([[m.intercept], m.coef])
     assert np.all(np.abs(got - ref) <= 1e-10 * (1.0 + np.abs(ref))), (got, ref)
@@ -577,8 +579,7 @@ class TestConstrainedRidgeExact:
         y = np.arange(10.0)
         for kind in ("ridge", "lasso"):
             with pytest.raises(SingularSystemError, match="infeasible"):
-                fit_constrained_linear(LearnerConfig(kind=kind, lam=lam), X, y,
-                                       partition_by_mean(y))
+                fit_constrained_linear(LearnerConfig(kind=kind, lam=lam), X, y)
 
     def test_rank_deficient_design_at_lam_zero_raises_in_both_modes(self):
         rng = np.random.default_rng(12)
@@ -590,7 +591,7 @@ class TestConstrainedRidgeExact:
             with pytest.raises(SingularSystemError):
                 fit(RIDGE0, X, y)
             with pytest.raises(SingularSystemError):
-                fit_constrained_linear(RIDGE0, X, y, partition_by_mean(y))
+                fit_constrained_linear(RIDGE0, X, y)
 
     def test_overflowing_design_raises(self):
         # the penalized normal equations overflow to a nan solution
@@ -602,7 +603,7 @@ class TestConstrainedRidgeExact:
             with pytest.raises(SingularSystemError):
                 fit(cfg, X, y)
             with pytest.raises(SingularSystemError):
-                fit_constrained_linear(cfg, X, y, partition_by_mean(y))
+                fit_constrained_linear(cfg, X, y)
 
 
 class TestNonFiniteGuards:
@@ -613,9 +614,11 @@ class TestNonFiniteGuards:
 
     def test_nan_group_sum_is_not_an_anchored_model(self):
         with pytest.raises(InvalidInputError, match="anchoring constraints"):
-            FittedModel(config=LearnerConfig(), mode="umlr", p=1, n_train=2,
-                        coef=np.array([1.0]), intercept=0.0,
+            FittedModel(config=LearnerConfig(), p=1, coef=np.array([1.0]), intercept=0.0,
                         group_residual_sums=(float("nan"), 0.0), group_tol=1e-8)
+        with pytest.raises(InvalidInputError, match="group tolerance"):
+            FittedModel(config=LearnerConfig(), p=1, coef=np.array([1.0]), intercept=0.0,
+                        group_residual_sums=(0.0, 0.0))
 
 
 class TestAnchorRecalibrate:
@@ -623,7 +626,7 @@ class TestAnchorRecalibrate:
         y = np.array([1.0, 2.0, 3.0, 4.0])
         X = (0.5 * y).reshape(-1, 1)
         base = fit(RIDGE0, X, 0.5 * y)
-        m = anchor_recalibrate(base, X, y, partition_by_mean(y))
+        m = anchor_recalibrate(base, X, y)
         assert m.anchor == pytest.approx((0.0, 2.0))
         assert np.allclose(m.predict(X), y, atol=1e-10)
         assert m.mode == "umlr"
@@ -632,7 +635,7 @@ class TestAnchorRecalibrate:
         y = np.array([1.0, 2.0, 3.0, 4.0])
         X = y.reshape(-1, 1)
         base = fit(RIDGE0, X, y)
-        m = anchor_recalibrate(base, X, y, partition_by_mean(y))
+        m = anchor_recalibrate(base, X, y)
         a, b = m.anchor
         assert a == pytest.approx(0.0, abs=1e-10)
         assert b == pytest.approx(1.0, abs=1e-10)
@@ -642,7 +645,7 @@ class TestAnchorRecalibrate:
         X = np.ones((4, 1))  # base predicts its mean everywhere
         base = fit(LearnerConfig(kind="ridge", lam=1e9), X, y)
         with pytest.raises(RecalibrationSingularError):
-            anchor_recalibrate(base, X, y, partition_by_mean(y))
+            anchor_recalibrate(base, X, y)
 
     def test_anchored_gbt_meets_group_tolerance(self):
         rng = np.random.default_rng(7)
@@ -654,7 +657,7 @@ class TestAnchorRecalibrate:
             cfg = LearnerConfig(kind="gbt", n_trees=30, max_depth=2,
                                 learning_rate=0.2, min_leaf=5)
             split = partition_by_mean(y)
-            m = anchor_recalibrate(fit(cfg, X, y), X, y, split)
+            m = anchor_recalibrate(fit(cfg, X, y), X, y)
             s1, s2 = group_sums(m, X, y, split)
             tol = GBT_GROUP_TOL * n * np.std(y)
             assert abs(s1) <= tol and abs(s2) <= tol
@@ -663,8 +666,8 @@ class TestAnchorRecalibrate:
         y = np.array([1.0, 2.0, 3.0, 4.0])
         X = (0.5 * y).reshape(-1, 1)
         base = fit(RIDGE0, X, 0.5 * y)
-        once = anchor_recalibrate(base, X, y, partition_by_mean(y))
-        twice = anchor_recalibrate(once, X, y, partition_by_mean(y))
+        once = anchor_recalibrate(base, X, y)
+        twice = anchor_recalibrate(once, X, y)
         assert twice.anchor == pytest.approx(once.anchor, abs=1e-10)
 
     def test_restores_calibration_slope_under_shrinkage(self):
@@ -677,7 +680,7 @@ class TestAnchorRecalibrate:
             noise = 0.1 * np.std(y) * rng.standard_normal(n)
             base_col = (eta * y + noise).reshape(-1, 1)
             base = fit(RIDGE0, base_col, eta * y + noise)  # predicts the column
-            m = anchor_recalibrate(base, base_col, y, partition_by_mean(y))
+            m = anchor_recalibrate(base, base_col, y)
             pred = m.predict(base_col)
             slope = np.cov(y, pred, ddof=0)[0, 1] / np.var(y)
             assert slope >= 0.95
@@ -690,13 +693,12 @@ class TestMarginalCalibrationCorollary:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((50, 4))
         y = X @ rng.standard_normal(4) + rng.standard_normal(50)
-        split = partition_by_mean(y)
         for make in (
-            lambda: fit_constrained_linear(LearnerConfig(kind="ridge", lam=2.0), X, y, split),
+            lambda: fit_constrained_linear(LearnerConfig(kind="ridge", lam=2.0), X, y),
             lambda: anchor_recalibrate(
                 fit(LearnerConfig(kind="gbt", n_trees=25, max_depth=2,
                                   learning_rate=0.2, min_leaf=5), X, y),
-                X, y, split),
+                X, y),
         ):
             m = make()
             total = np.sum(m.predict(X) - y)
