@@ -107,9 +107,10 @@ def _utf8_lines(fh, path: str, error: type[InvalidInputError]):
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
+    """Parse a ``key = value`` UTF-8 config file, a leading byte-order mark
+    skipped; '#' starts a comment."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(_utf8_lines(fh, path, InvalidInputError), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -124,14 +125,15 @@ def load_config_file(path: str) -> dict:
 
 
 def _read_csv(path: str, select) -> tuple[list[str], list[int], np.ndarray]:
-    """Read a comma-separated UTF-8 file with a header row.
+    """Read a comma-separated UTF-8 file with a header row; a leading
+    byte-order mark, which spreadsheets write, is skipped.
 
     ``select(header)`` names the columns to read, each once and each found
     once in the header. Returns those names, the line number of each
     non-blank data row, and the rows' values as a float table. Every row
     must have as many fields as the header.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(_utf8_lines(fh, path, CsvParseError))
         try:
             header = [h.strip() for h in next(reader)]
@@ -382,7 +384,7 @@ def _cmd_estimate(args) -> dict:
     B, warnings = cfg["bootstrap"], []
     check_nonnegative("bootstrap", B)
     check_at_least("seed", cfg["seed"], 0)
-    boot = [(k, ESTIMATORS[name].run, spec) for k, (name, spec) in enumerate(cells)
+    boot = [(k, ESTIMATORS[name], spec) for k, (name, spec) in enumerate(cells)
             if B > 0 and not ESTIMATORS[name].analytic_interval]
     if boot:
         check_bootstrap(B, cfg["level"], cfg["ci_method"])
@@ -391,13 +393,12 @@ def _cmd_estimate(args) -> dict:
         covs = [c.strip() for c in covs.split(",") if c.strip()]
     data, cov_names = load_csv(args.data, args.outcome_col, args.treatment_col, covs)
 
-    # one memo serves every row's point; in the bootstrap, one per resample
+    # one memo serves every row's point; resampled_points shares each resample's fits
     nuis = Nuisances(data)
     ests = [ESTIMATORS[name].run(data, spec, nuis, diagnostics=True) for name, spec in cells]
     if boot:
-        fns = [lambda sub, memo, run=run, spec=spec: run(sub, spec, memo).point
-               for _, run, spec in boot]
-        points, failures = resampled_points(data, fns, B, cfg["seed"])
+        points, failures = resampled_points(data, [(entry, spec) for _, entry, spec in boot],
+                                            B, cfg["seed"])
         for (k, _, spec), pts, failed in zip(boot, points, failures):
             est = ests[k]
             ests[k] = est.with_interval(*bootstrap_interval(

@@ -10,7 +10,8 @@ than the observed outcome.
 Point estimators are pure functions of (data, config); confidence intervals
 come from the case-resampling bootstrap (:func:`bootstrap_ci`, percentile or
 normal form), except DML, which carries an analytic influence-function
-interval.
+interval. :func:`resampled_points` evaluates small-p ridge estimators on all
+resamples of a dataset at once, as count-weighted stacked fits.
 
 :data:`ESTIMATORS` is the one place an estimator is registered; the CLI and
 the Monte-Carlo harness both dispatch through it. Estimators run on the same
@@ -39,7 +40,16 @@ from .errors import (
     UndefinedSlopeError,
     UnstableBootstrapError,
 )
-from .learners import FittedModel, LearnerConfig, anchor_recalibrate, fit, fit_constrained_linear
+from .learners import (
+    FittedModel,
+    LearnerConfig,
+    _anchor_stack,
+    _dot,
+    _ridge_stack,
+    anchor_recalibrate,
+    fit,
+    fit_constrained_linear,
+)
 
 __all__ = [
     "AteEstimate",
@@ -71,6 +81,8 @@ CI_METHODS = ("normal", "percentile")
 BOOTSTRAP_MAX_FAILURE_RATE = 0.10  # of the B resamples, before an interval is refused
 PROPENSITY_MAX_ITER = 100  # Newton steps
 PROPENSITY_GRAD_TOL = 1e-8
+STACK_MAX_P = 32  # covariates; stacked fits gain less as p grows, nothing near 64
+STACK_CELLS = 2**16  # (resample, row, column) cells per chunk: 512 KiB a stacked array
 
 
 # one check per knob, called by each reader of it; nan fails every comparison
@@ -578,22 +590,54 @@ def check_bootstrap(B: int, level: float, method: str) -> None:
     check_choice("method", method, CI_METHODS)
 
 
-def resampled_points(data: Dataset, fns, B: int, seed: int):
-    """Each ``fn(resample, memo)`` on the B case resamples of ``data``, where
-    resample b draws its indices from a generator seeded with (seed, b) and
-    all fns share its :class:`Nuisances` memo. Returns, per fn, the points it
-    gave and its failed resamples counted by error class."""
+def _draw(n: int, seed: int, b: int) -> np.ndarray:
+    """The rows of case resample b: n draws from a generator seeded with (seed, b)."""
+    return np.random.default_rng((seed, b)).integers(0, n, size=n)
+
+
+def _on_resample(data: Dataset, seed: int, b: int, fns) -> list:
+    """Each ``fn(resample, memo)`` on resample b, all sharing its memo: the
+    point, or the class name of the :class:`UmlrError` it raised."""
+    sub = data.subset(_draw(data.n, seed, b))
+    memo = Nuisances(sub)
+    out = []
+    for fn in fns:
+        try:
+            out.append(float(fn(sub, memo)))
+        except UmlrError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def resampled_points(data: Dataset, cells, B: int, seed: int):
+    """The points of each cell, an ``(Estimator, EstimatorSpec)`` pair, on
+    the B case resamples of ``data``, where resample b draws its rows from a
+    generator seeded with (seed, b). Returns, per cell, the points it gave in
+    resample order and its failed resamples counted by error class.
+
+    A resample is a count vector: row i enters resample b ``c[b, i]`` times.
+    The cells of a registered s/t/x/aipw estimator whose learner is ridge
+    with lam > 0, on at most STACK_MAX_P covariates, are evaluated on all
+    resamples at once, chunk by chunk (STACK_CELLS cells per stacked array),
+    as count-weighted fits; their points equal the per-resample ones up to
+    rounding. Every other cell is evaluated one resample at a time on the
+    resample's rows, all of them sharing the resample's :class:`Nuisances`
+    memo, and so is every resample on which a stacked fit would fail or
+    comes near a check, so failures are counted by the per-resample errors.
+    """
     check_at_least("seed", seed, 0)
-    points, failures = [[] for _ in fns], [Counter() for _ in fns]
+    values = [[None] * B for _ in cells]  # a point, or the class of the error raised
+    for i, b, point in _stacked_points(data, cells, B, seed):
+        values[i][b] = point
+    fns = [lambda sub, memo, run=entry.run, spec=spec: run(sub, spec, memo).point
+           for entry, spec in cells]
     for b in range(B):
-        sub = data.subset(np.random.default_rng((seed, b)).integers(0, data.n, size=data.n))
-        nuis = Nuisances(sub)
-        for fn, pts, failed in zip(fns, points, failures):
-            try:
-                pts.append(float(fn(sub, nuis)))
-            except UmlrError as exc:
-                failed[type(exc).__name__] += 1
-    return points, failures
+        todo = [i for i, vals in enumerate(values) if vals[b] is None]
+        if todo:
+            for i, value in zip(todo, _on_resample(data, seed, b, [fns[i] for i in todo])):
+                values[i][b] = value
+    return ([[v for v in vals if isinstance(v, float)] for vals in values],
+            [Counter(v for v in vals if isinstance(v, str)) for vals in values])
 
 
 def bootstrap_interval(points: list[float], B: int, level: float, method: str,
@@ -634,7 +678,10 @@ def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
     than :data:`BOOTSTRAP_MAX_FAILURE_RATE` of the resamples.
     """
     check_bootstrap(B, level, method)
-    (points,), _ = resampled_points(data, [lambda sub, _: estimator(sub)], B, seed)
+    check_at_least("seed", seed, 0)
+    fns = [lambda sub, _: estimator(sub)]
+    points = [v for b in range(B) for v in _on_resample(data, seed, b, fns)
+              if isinstance(v, float)]
     mid = (lambda: estimator(data)) if center is None else (lambda: center)
     return bootstrap_interval(points, B, level, method, mid)
 
@@ -723,3 +770,229 @@ ESTIMATORS = {
     "dml": Estimator(_run_dml, analytic_interval=True),
     "psm_att": Estimator(_run_psm, aliases=("psm",), estimand="att", modes=("mlr",)),
 }
+
+
+# ---------------------------------------------------------------------------
+# stacked bootstrap: all resamples of a dataset as count-weighted fits
+# ---------------------------------------------------------------------------
+
+def _predict(coef: np.ndarray, intercept: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Each resample's linear model (k, q), (k,) on the rows of X: (k, m)."""
+    return intercept[:, None] + (coef[:, None, :] @ X.T)[:, 0]
+
+
+def _propensity_stack(X: np.ndarray, t: np.ndarray, c: np.ndarray, l2: float):
+    """:func:`fit_propensity` on k case resamples at once, resample b drawing
+    row i ``c[b, i]`` times: the same damped Newton steps on the
+    count-weighted likelihood, one batched solve per step, each resample
+    stopping and halving its line-search step on its own. Returns theta
+    (k, p + 1), intercept first, and ok (k,): False where the per-resample
+    fit would raise, or where one of its comparisons (gradient tolerance,
+    line-search acceptance, separation) is too close for the two ways of
+    rounding to be sure to agree."""
+    k, n = c.shape
+    D = np.column_stack([np.ones(n), X])
+    q = D.shape[1]
+    pen = np.full(q, float(l2))
+    pen[0] = 0.0
+    t = t.astype(float)
+    # sums of n terms round apart far less than 1e-13 of the terms' size
+    grad_slack = 1e-13 * n * np.abs(D).max()
+
+    def objective(th, cw):
+        """The objective and the size of the terms it sums."""
+        z = (th[:, None, :] @ D.T)[:, 0]
+        soft, tz = np.logaddexp(0.0, z), t * z
+        penalty = 0.5 * _dot(th**2, pen)
+        return _dot(cw, soft - tz) + penalty, _dot(cw, soft + np.abs(tz)) + penalty
+
+    theta = np.zeros((k, q))
+    ok = ((c * t).sum(axis=1) > 0) & ((c * (1.0 - t)).sum(axis=1) > 0)
+    obj, size = objective(theta, c)
+    live = np.flatnonzero(ok)  # resamples still stepping
+    for _ in range(PROPENSITY_MAX_ITER):
+        th, cw = theta[live], c[live]
+        z = (th[:, None, :] @ D.T)[:, 0]
+        prob = _expit(z)
+        grad = ((cw * (prob - t))[:, None, :] @ D)[:, 0] + pen * th
+        gmax = np.abs(grad).max(axis=1)
+        ok[live] &= np.abs(gmax - PROPENSITY_GRAD_TOL) > grad_slack
+        done = gmax < PROPENSITY_GRAD_TOL
+        if l2 == 0.0:  # the unpenalized fit's separation test, with a margin
+            drawn = cw > 0
+            separated = (np.all(~drawn | ((2.0 * t - 1.0) * z > -1e-9), axis=1)
+                         & (np.where(drawn, np.abs(z), 0.0).max(axis=1) > 10.0 - 1e-9))
+            ok[live[done & separated]] = False
+        step_on = ~done & ok[live]
+        live, th, cw, prob, grad = live[step_on], th[step_on], cw[step_on], prob[step_on], grad[step_on]
+        if not live.size:
+            return theta, ok
+        H = (D.T * (cw * prob * (1.0 - prob))[:, None, :]) @ D + np.diag(pen)
+        step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
+        scale = np.ones(live.size)
+        search = np.arange(live.size)  # positions in live still halving
+        for _ in range(50):
+            rows = live[search]
+            cand = th[search] - scale[search, None] * step[search]
+            cand_obj, cand_size = objective(cand, cw[search])
+            bound = obj[rows] + 1e-12 * np.abs(obj[rows])
+            ok[rows] &= np.abs(cand_obj - bound) > 1e-13 * (cand_size + size[rows])
+            accept = cand_obj <= bound
+            theta[rows[accept]], obj[rows[accept]] = cand[accept], cand_obj[accept]
+            size[rows[accept]] = cand_size[accept]
+            search = search[~accept]
+            if not search.size:
+                break
+            scale[search] *= 0.5
+        ok[live[search]] = False  # no step decreased the objective: ConvergenceError
+        live = live[ok[live]]
+    ok[live] = False  # not converged within PROPENSITY_MAX_ITER steps
+    return theta, ok
+
+
+class _Stack:
+    """What :class:`Nuisances` is to one resample, for k case resamples of
+    ``data`` at once, resample b drawing row i ``c[b, i]`` times: the ridge
+    outcome fits and the propensity fits, each made once for every cell.
+
+    ``ok`` (k,) turns False for each resample on which a fit asked for would
+    raise, or comes too near one of its checks to be sure it passes; the
+    caller evaluates those resamples one by one.
+    """
+
+    def __init__(self, data: Dataset, c: np.ndarray):
+        self.data, self.c = data, c
+        self.rows = [data.arm_indices(arm) for arm in (0, 1)]
+        control, treated = (c[:, rows].sum(axis=1) for rows in self.rows)
+        self.ok = (control >= 5) & (treated >= 5)  # as _check_arms asks of ridge
+        self._memo = {}
+
+    def _get(self, key, make):
+        value = self._memo.get(key)  # no entry is None
+        if value is None:
+            value = self._memo[key] = make()
+        return value
+
+    def _training(self, part):
+        X, t, y = self.data.X, self.data.t, self.data.y
+        if part[0] == "s":
+            return _augment(X, t.astype(float)), y, self.c
+        rows = self.rows[part[1]]
+        return X[rows], y[rows], np.take(self.c, rows, axis=1)
+
+    def model(self, cfg: LearnerConfig, mode: str, umlr_route: str, part):
+        """``(coef, intercept, layer)`` of the outcome model of ``part``: the
+        plain or constrained fit, or for the anchored route the plain fit
+        with its layer ``(a, b)``, which is otherwise None."""
+        route = umlr_route if mode == "umlr" else "auto"
+
+        def make():
+            X, y, c = self._training(part)
+            if route == "anchored":
+                coef, intercept, _ = self.model(cfg, "mlr", "auto", part)
+                a, b, ok = _anchor_stack(_predict(coef, intercept, X), y, c)
+                self.ok &= ok
+                return coef, intercept, (a, b)
+            fits = self._get(("fits", cfg, part),
+                             lambda: _ridge_stack(cfg.lam, X, y, c, constrained=True))
+            coef, intercept, ok = fits[mode == "umlr"]
+            self.ok &= ok
+            return coef, intercept, None
+
+        return self._get(("model", cfg, mode, route, part), make)
+
+    def predictions(self, cfg: LearnerConfig, mode: str, umlr_route: str, arm: int):
+        """The arm model on every row, (k, n); an anchored model's are
+        ``a + b *`` the plain fit's, as in :meth:`Nuisances.predictions`."""
+        def make():
+            coef, intercept, layer = self.model(cfg, mode, umlr_route, ("arm", arm))
+            if layer is None:
+                return _predict(coef, intercept, self.data.X)
+            a, b = layer
+            return a[:, None] + b[:, None] * self.predictions(cfg, "mlr", "auto", arm)
+
+        route = umlr_route if mode == "umlr" else "auto"
+        return self._get(("pred", cfg, mode, route, arm), make)
+
+    def propensity(self, l2: float, clip) -> np.ndarray:
+        """The clipped propensity scores of every row, (k, n)."""
+        def make():
+            theta, ok = _propensity_stack(self.data.X, self.data.t, self.c, l2)
+            self.ok &= ok
+            return np.clip(_expit(_predict(theta[:, 1:], theta[:, 0], self.data.X)), *clip)
+
+        return self._get(("prop", l2, tuple(clip)), make)
+
+    def mean(self, v: np.ndarray) -> np.ndarray:
+        """Each resample's mean of per-row values v (k, n)."""
+        return _dot(self.c, v) / self.data.n
+
+
+def _arm_predictions(stack: _Stack, spec: EstimatorSpec):
+    return [stack.predictions(spec.learner, spec.mode, spec.umlr_route, arm) for arm in (0, 1)]
+
+
+def _stack_s(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
+    coef, _, layer = stack.model(spec.learner, spec.mode, spec.umlr_route, ("s",))
+    return coef[:, -1] if layer is None else layer[1] * coef[:, -1]
+
+
+def _stack_t(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
+    mu0, mu1 = _arm_predictions(stack, spec)
+    return stack.mean(mu1 - mu0)
+
+
+def _stack_x(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
+    e = stack.propensity(spec.propensity_l2, spec.clip)
+    mu0, mu1 = _arm_predictions(stack, spec)
+    X, y = stack.data.X, stack.data.y
+    control, treated = stack.rows
+    tau = []
+    for rows, d in ((control, np.take(mu1, control, axis=1) - y[control]),
+                    (treated, y[treated] - np.take(mu0, treated, axis=1))):
+        (coef, intercept, ok), = _ridge_stack(spec.learner.lam, X[rows], d,
+                                              np.take(stack.c, rows, axis=1))
+        stack.ok &= ok
+        tau.append(_predict(coef, intercept, X))
+    return stack.mean(e * tau[0] + (1.0 - e) * tau[1])
+
+
+def _stack_aipw(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
+    mu0, mu1 = _arm_predictions(stack, spec)
+    e = stack.propensity(spec.propensity_l2, spec.clip)
+    t, y = stack.data.t.astype(float), stack.data.y
+    return stack.mean(mu1 - mu0 + t * (y - mu1) / e - (1.0 - t) * (y - mu0) / (1.0 - e))
+
+
+# keyed by the run each mirrors, so an entry whose run is swapped is not stacked
+_STACKED = {_run_s: _stack_s, _run_t: _stack_t, _run_x: _stack_x, _run_aipw: _stack_aipw}
+
+
+def _stackable(entry: Estimator, spec: EstimatorSpec, data: Dataset) -> bool:
+    cfg = spec.learner
+    return (entry.run in _STACKED and cfg.kind == "ridge" and cfg.lam > 0
+            and data.p <= STACK_MAX_P)
+
+
+def _stacked_points(data: Dataset, cells, B: int, seed: int):
+    """Yield ``(cell index, b, point)`` for each stackable cell and each
+    resample b that no stacked check flagged, chunk by chunk; a chunk whose
+    batched solve raises yields nothing."""
+    stacked = [i for i, (entry, spec) in enumerate(cells) if _stackable(entry, spec, data)]
+    if not stacked:
+        return
+    chunks = -(-B // max(1, STACK_CELLS // (data.n * (data.p + 2))))
+    size = -(-B // chunks)  # chunks of even size
+    for lo in range(0, B, size):
+        bs = range(lo, min(B, lo + size))
+        counts = np.array([np.bincount(_draw(data.n, seed, b), minlength=data.n) for b in bs],
+                          dtype=float)
+        try:
+            with np.errstate(all="ignore"):  # a flagged resample may divide by 0
+                stack = _Stack(data, counts)
+                points = [_STACKED[cells[i][0].run](stack, cells[i][1]) for i in stacked]
+        except np.linalg.LinAlgError:
+            continue
+        for j in np.flatnonzero(stack.ok):
+            for i, pts in zip(stacked, points):
+                yield i, bs[j], float(pts[j])

@@ -55,6 +55,11 @@ GBT_GROUP_TOL = 1e-6  # x n x sd(y), anchored tree ensembles
 LASSO_COEF_TOL = 1e-7
 LASSO_MAX_SWEEPS = 10_000
 RIDGE_RESID_TOL = 1e-10
+ANCHOR_DET_TOL = 1e-12  # x the scale of the 2x2 anchoring system
+# A stacked fit flags a resample whose check value comes within this factor
+# of its threshold: those values are rounding noise, which the stacked and
+# the per-resample arithmetic round apart.
+STACK_CHECK_MARGIN = 1e-2
 _INFEASIBLE = ("anchoring constraints infeasible: the below-mean group "
                "has the covariate means of the whole sample")
 
@@ -426,7 +431,7 @@ def _solve_anchor(split: SplitIndices, base_pred: np.ndarray, y: np.ndarray) -> 
     s1y, s2y = y[split.r1].sum(), y[split.r2].sum()
     det = n1 * s2p - n2 * s1p
     scale = max(abs(n1 * s2p), abs(n2 * s1p), n1 * n2 * float(np.std(y)), 1e-300)
-    if abs(det) <= 1e-12 * scale:
+    if abs(det) <= ANCHOR_DET_TOL * scale:
         raise RecalibrationSingularError(
             "base predictions have equal means in both groups; anchoring system singular"
         )
@@ -542,3 +547,116 @@ def fit_constrained_linear(config: LearnerConfig, X, y) -> FittedModel:
     if config.kind == "ridge":
         return _fit_ridge(config, X, y, split)
     return _fit_constrained_lasso(config, X, y, split)
+
+
+# ---------------------------------------------------------------------------
+# stacked fits: one design under many case resamples
+# ---------------------------------------------------------------------------
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of a (k, n) with b (k, n) or (n,), one BLAS dot
+    per row, so a row's sum is ordered alike whatever is stacked with it;
+    numpy's axis reductions order it by the stack's memory layout."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def _stack_split(y: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`partition_by_mean` split of each of k resamples, resample b
+    drawing row i ``c[b, i]`` times: ``below`` (k, n) marks r1, and ``ok``
+    (k,) is False where a group is empty or a drawn y_i lies within rounding
+    of the mean, where the per-resample split may fall either way."""
+    m = c.sum(axis=1)  # counts: exact in any order
+    gap = y - (_dot(c, y) / m)[:, None]
+    below = gap <= 0.0
+    m1 = (c * below).sum(axis=1)
+    tie = (c > 0) & (np.abs(gap) <= 1e-12 * np.abs(y).max())
+    return below, (m1 > 0) & (m1 < m) & ~tie.any(axis=1)
+
+
+def _ridge_stack(lam: float, X: np.ndarray, y: np.ndarray, c: np.ndarray,
+                 constrained: bool = False):
+    """Ridge fits of one design under k case resamples at once, resample b
+    drawing row i ``c[b, i]`` times: each is the count-weighted form of the
+    :func:`_fit_ridge` fit of the resample's rows, equal up to rounding.
+    ``y`` is (n,) or one outcome per resample (k, n); ``lam`` must be > 0.
+
+    The centred Gram matrices are second moments about the full-data mean,
+    sum_i c_i z_i z_i' - m zbar zbar' with z = x - mean(x); the resample
+    means zbar lie near 0, so little cancels. One batched solve makes every
+    fit, u riding as a second column for the constrained one. Returns
+    ``(coef (k, q), intercept (k,), ok (k,))`` for the plain fit and, if
+    ``constrained``, for the umlr fit; ``ok`` is False where
+    :func:`_fit_ridge` would raise or a check comes within
+    STACK_CHECK_MARGIN of failing. Every operation acts on each resample's
+    C-ordered row alone, so its numbers do not depend on what is stacked
+    with it.
+    """
+    c, y = np.ascontiguousarray(c), np.ascontiguousarray(y)  # rows laid out alike for any k
+    k, n = c.shape
+    q = X.shape[1]
+    m = c.sum(axis=1)
+    Z = X - X.mean(axis=0)
+    zbar = (c[:, None, :] @ Z)[:, 0] / m[:, None]
+    y_mean = _dot(c, y) / m
+    yc = y - y_mean[:, None]
+    cols = [c * yc]
+    if constrained:
+        below, split_ok = _stack_split(y, c)
+        cols.append(c * below)
+    W = np.stack(cols, axis=1)
+    rhs = np.swapaxes(W @ Z, 1, 2)  # (k, q, columns)
+    if constrained:  # u = sum_{r1} c_i (z_i - zbar)
+        rhs[:, :, 1] -= W[:, 1].sum(axis=1)[:, None] * zbar
+    G = (Z.T * c[:, None, :]) @ Z  # (k, q, n) weighted rows: O(k n q) memory
+    G -= m[:, None, None] * zbar[:, :, None] * zbar[:, None, :]
+    G += lam * np.eye(q)
+    sol = np.linalg.solve(G, rhs)
+    fitted = G @ sol
+    scale = np.maximum(np.maximum(np.linalg.norm(rhs, axis=1), np.linalg.norm(fitted, axis=1)),
+                       1e-300)
+    # per column at the margin, which implies _fit_ridge's check on the pair
+    col_ok = np.linalg.norm(fitted - rhs, axis=1) <= STACK_CHECK_MARGIN * RIDGE_RESID_TOL * scale
+    x_mean = X.mean(axis=0) + zbar
+    coef = sol[:, :, 0]
+    fits = [(coef, y_mean - _dot(x_mean, coef), col_ok[:, 0])]
+    if constrained:
+        u, w, r1 = rhs[:, :, 1], sol[:, :, 1], W[:, 1]
+        uw = _dot(u, w)
+        coef = coef - w * ((_dot(u, coef) - _dot(r1, yc)) / uw)[:, None]
+        intercept = y_mean - _dot(x_mean, coef)
+        resid = intercept[:, None] + (coef[:, None, :] @ X.T)[:, 0] - y
+        sums = np.stack([_dot(r1, resid), _dot(c - r1, resid)])
+        tol = LINEAR_GROUP_TOL * m * np.maximum(np.sqrt(_dot(c, yc * yc) / m), 1e-300)
+        # a u of rounding size may be exactly 0 per resample, and infeasible
+        u_size = (r1[:, None, :] @ np.abs(Z))[:, 0] + r1.sum(axis=1)[:, None] * np.abs(zbar)
+        ok = (split_ok & col_ok.all(axis=1) & (uw > 0.0)
+              & (np.abs(u) > 1e-12 * u_size).any(axis=1)
+              & (np.abs(sums) <= STACK_CHECK_MARGIN * tol).all(axis=0))
+        fits.append((coef, intercept, ok))
+    return fits
+
+
+def _anchor_stack(raw: np.ndarray, y: np.ndarray, c: np.ndarray):
+    """The :func:`anchor_recalibrate` layers ``(a, b)``, each (k,), of plain
+    linear fits whose training predictions under k case resamples are ``raw``
+    (k, n), with ``ok`` (k,) as in :func:`_ridge_stack`."""
+    raw, c = np.ascontiguousarray(raw), np.ascontiguousarray(c)
+    below, ok = _stack_split(y, c)
+    c1 = c * below
+    c2 = c - c1
+    n1, n2 = c1.sum(axis=1), c2.sum(axis=1)
+    s1p, s2p = _dot(c1, raw), _dot(c2, raw)
+    s1y, s2y = _dot(c1, y), _dot(c2, y)
+    m = n1 + n2
+    sd = np.sqrt(_dot(c, (y - ((s1y + s2y) / m)[:, None]) ** 2) / m)
+    det = n1 * s2p - n2 * s1p
+    scale = np.maximum(np.maximum(np.abs(n1 * s2p), np.abs(n2 * s1p)),
+                       np.maximum(n1 * n2 * sd, 1e-300))
+    b = (n1 * s2y - n2 * s1y) / det
+    a = (s1y - b * s1p) / n1
+    resid = a[:, None] + b[:, None] * raw - y
+    sums = np.stack([_dot(c1, resid), _dot(c2, resid)])
+    tol = LINEAR_GROUP_TOL * m * np.maximum(sd, 1e-300)
+    ok &= ((STACK_CHECK_MARGIN * np.abs(det) > ANCHOR_DET_TOL * scale)
+           & (np.abs(sums) <= STACK_CHECK_MARGIN * tol).all(axis=0))
+    return a, b, ok

@@ -34,13 +34,14 @@ from .estimators import (
     Nuisances,
     _expit,
     aipw,
-    bootstrap_ci,
+    bootstrap_ci,  # unused here; bench/tests checks the tracer reaches this binding
     bootstrap_interval,
     check_at_least,
     check_bootstrap,
     check_choice,
     check_nonnegative,
     outcome_regression_ate,
+    resampled_points,
 )
 from .learners import LearnerConfig
 
@@ -252,35 +253,18 @@ def _replicate_task(dgp: DgpConfig, cells, r: int, B: int, ci_method: str,
         ests.append(est)
     if B == 0:
         return rows
-    # all bootstrapped cells share one resample stream and one memo per
-    # resample (see run_monte_carlo); the first cell whose point did not fail
-    # gets bootstrap_ci's interval, the others one from the points they
-    # gave, and a cell failing on a resample loses only its point
+    # every bootstrapped cell draws one resample stream (see run_monte_carlo)
+    # and a cell failing on a resample loses only its own point
     ks = [k for k, (_, _, entry) in enumerate(cells) if not entry.analytic_interval]
     live = [k for k in ks if ests[k] is not None]
     if not live:
         return rows
     ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + ks[0]
-    first, rest = live[0], live[1:]
-    points = {k: [] for k in rest}
-
-    def statistic(sub: Dataset) -> float:
-        memo = Nuisances(sub)
-        for k in rest:
-            try:
-                points[k].append(float(cells[k][2].run(sub, cells[k][1], memo).point))
-            except UmlrError:
-                pass
-        return cells[first][2].run(sub, cells[first][1], memo).point
-
-    for k in live:
+    points, _ = resampled_points(rep.data, [(cells[k][2], cells[k][1]) for k in live], B, ci_seed)
+    for k, pts in zip(live, points):
         level, point = cells[k][1].level, ests[k].point
         try:
-            if k == first:
-                interval = bootstrap_ci(rep.data, statistic, B=B, level=level,
-                                        seed=ci_seed, method=ci_method, center=point)
-            else:
-                interval = bootstrap_interval(points[k], B, level, ci_method, lambda: point)
+            interval = bootstrap_interval(pts, B, level, ci_method, lambda: point)
             est = ests[k].with_interval(*interval, level)
             rows[k]["ci_low"], rows[k]["ci_high"] = est.ci_low, est.ci_high
         except UmlrError as exc:
@@ -309,11 +293,14 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
 
     Bootstrapped cells are paired as ``umlr estimate`` pairs its rows: all
     those of a replicate draw one resample stream, the one of the first
-    bootstrapped cell in ``scenario``, and share one
-    :class:`~umlr.estimators.Nuisances` memo per resample, so cells that ask
-    for the same arm or propensity fit of a resample get one fit. A cell
-    that fails on a resample loses only its own point, and each cell's
-    interval is refused on its own.
+    bootstrapped cell in ``scenario``, and
+    :func:`~umlr.estimators.resampled_points` evaluates them together, so
+    cells that ask for the same arm or propensity fit of a resample get one
+    fit. Small-p ridge cells are evaluated on all resamples at once as
+    count-weighted stacked fits; the others resample by resample, sharing one
+    :class:`~umlr.estimators.Nuisances` memo per resample. A cell that fails
+    on a resample loses only its own point, and each cell's interval is
+    refused on its own.
 
     Intervals default to the normal-approximation bootstrap
     (``ci_method="normal"``): regularized fits grow extra shrinkage bias

@@ -129,6 +129,11 @@ class TestConfigFile:
         assert rep["config"]["n"] == 100  # flag wins
         assert rep["config"]["reps"] == 10  # file wins over default
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn = 140\nlam = 2.5\n")  # as spreadsheets save UTF-8
+        assert load_config_file(str(cfg)) == {"n": "140", "lam": "2.5"}
+
     def test_non_utf8_file_exits_3(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes("# r\xe9sum\xe9\nn = 60\n".encode("latin-1"))
@@ -555,6 +560,13 @@ class TestDiagnoseCommand:
         r = run_cli(["diagnose", "--pred-file", str(f), "--out", str(tmp_path / "d.json")])
         assert_contract_error(r, "csv_parse")
         assert f"{f}:3:" in json.loads(r.stderr)["error"]["message"]
+
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        f = tmp_path / "preds.csv"
+        f.write_bytes(b"\xef\xbb\xbfy,y_hat\n1.0,1.0\n2.0,2.5\n3.0,2.0\n")  # "CSV UTF-8"
+        out = tmp_path / "d.json"
+        assert main(["diagnose", "--pred-file", str(f), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"][0]["n"] == 3
 
     def test_non_utf8_file_exits_3(self, tmp_path):
         f = tmp_path / "preds.csv"

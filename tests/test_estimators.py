@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import umlr.estimators as estimators
 from umlr import (
     ConvergenceError,
     Dataset,
+    DgpConfig,
     DivisionGuardError,
     InvalidInputError,
     LearnerConfig,
@@ -16,12 +20,15 @@ from umlr import (
     dml,
     fit,
     fit_propensity,
+    generate_replicate,
     outcome_regression_ate,
     psm_att,
+    run_monte_carlo,
     s_learner,
     t_learner,
     x_learner,
 )
+from umlr.estimators import ESTIMATORS, EstimatorSpec, bootstrap_interval, resampled_points
 
 RIDGE1 = LearnerConfig(kind="ridge", lam=1.0)
 
@@ -406,6 +413,107 @@ class TestBootstrapCi:
         lo, hi = bootstrap_ci(d, est, B=200, seed=2, method="normal")
         assert lo < point < hi
         assert (lo + hi) / 2 == pytest.approx(point, abs=1e-12)
+
+
+class TestStackedBootstrap:
+    """Small-p ridge cells are evaluated on all resamples at once as
+    count-weighted fits; each resample must give what it gives evaluated on
+    its own rows, failures included."""
+
+    NULL = DgpConfig(n=160, p=4, s=2, mu1=2.0, mu0=0.0, gamma_scale=0.0,
+                     effect_scale=0.0, sigma=0.4, beta_scale=2.5, seed=20250808)
+    LEARNER = LearnerConfig(kind="ridge", lam=0.1)
+    NAMES = ("s_learner", "t_learner", "x_learner", "aipw")
+
+    def cells(self, umlr_route="auto"):
+        return [(ESTIMATORS[name], EstimatorSpec(self.LEARNER, mode, umlr_route))
+                for name in self.NAMES for mode in ("mlr", "umlr")]
+
+    @staticmethod
+    def one_by_one(monkeypatch, data, cells, B, seed):
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "STACK_MAX_P", 0)
+            return resampled_points(data, cells, B, seed)
+
+    @pytest.mark.parametrize("umlr_route", ["auto", "anchored"])
+    def test_each_resample_matches_its_own_fits(self, monkeypatch, umlr_route):
+        cells = self.cells(umlr_route)
+        for r in range(3):
+            data = generate_replicate(self.NULL, r).data
+            redone = []
+            on_resample = estimators._on_resample
+            with monkeypatch.context() as m:
+                m.setattr(estimators, "_on_resample",
+                          lambda *a: redone.append(a[2]) or on_resample(*a))
+                points, failures = resampled_points(data, cells, 100, r)
+            assert redone == []  # no stacked check flagged a resample of these
+            ref_points, ref_failures = self.one_by_one(monkeypatch, data, cells, 100, r)
+            assert failures == ref_failures == [Counter()] * len(cells)
+            for got, ref in zip(points, ref_points):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_failures_are_counted_by_the_per_resample_error(self, monkeypatch):
+        # a 6-unit treated arm: resamples drawing fewer than 5 of its units
+        # fail in every cell, and the umlr arm fits of those drawing only
+        # units of one of its two outcome values fail too
+        rng = np.random.default_rng(8)
+        n = 40
+        X = rng.standard_normal((n, 3))
+        t = np.zeros(n, dtype=int)
+        t[:6] = 1
+        y = X[:, 0] + 0.5 * rng.standard_normal(n)
+        y[:6] = [1.0, 1.0, 1.0, 3.0, 3.0, 3.0]
+        data = Dataset(X, t, y)
+        cells = self.cells()
+        B = 200
+        points, failures = resampled_points(data, cells, B, 0)
+        ref_points, ref_failures = self.one_by_one(monkeypatch, data, cells, B, 0)
+        assert failures == ref_failures
+        assert all(failed["InvalidInputError"] > 0 for failed in failures)
+        assert [failed["DegeneratePartitionError"] > 0 for failed in failures] == [
+            name != "s_learner" and mode == "umlr" for name in self.NAMES
+            for mode in ("mlr", "umlr")]
+        def refused(pts):
+            try:
+                bootstrap_interval(pts, B, 0.95, "normal", lambda: 2.0)
+            except UnstableBootstrapError:
+                return True
+            return False
+
+        for got, ref in zip(points, ref_points):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+            assert refused(got) == refused(ref)
+
+    def test_a_chunk_whose_solve_raises_goes_one_by_one(self, monkeypatch):
+        # a covariate equal to the intercept column makes every unpenalized
+        # propensity Hessian exactly singular
+        rng = np.random.default_rng(9)
+        n = 60
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        t = (np.arange(n) % 2).astype(int)
+        data = Dataset(X, t, t + X[:, 1] + rng.standard_normal(n))
+        cells = [(ESTIMATORS[name], EstimatorSpec(self.LEARNER, "mlr", propensity_l2=0.0))
+                 for name in ("t_learner", "aipw")]
+        points, failures = resampled_points(data, cells, 50, 3)
+        assert (points, failures) == self.one_by_one(monkeypatch, data, cells, 50, 3)
+        assert failures == [Counter(), Counter(ConvergenceError=50)]
+
+    def test_worker_threads_give_identical_records(self):
+        scenario = [(name, mode) for name in self.NAMES for mode in ("mlr", "umlr")]
+        runs = [run_monte_carlo(self.NULL, self.LEARNER, scenario, reps=10, B=50,
+                                workers=workers, return_records=True)[1]
+                for workers in (1, 2)]
+        assert runs[0] == runs[1]
+
+    def test_points_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        cells = self.cells()
+        for r in range(2):
+            data = generate_replicate(self.NULL, r).data
+            runs = []
+            for budget in (1, 10**9):  # one resample per chunk; all B in one
+                monkeypatch.setattr(estimators, "STACK_CELLS", budget)
+                runs.append(resampled_points(data, cells, 100, r))
+            assert runs[0] == runs[1]
 
 
 class TestPermutationInvariance:

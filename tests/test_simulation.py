@@ -20,9 +20,9 @@ from umlr.errors import ResamplingError
 from umlr.estimators import (
     ESTIMATORS,
     EstimatorSpec,
-    Nuisances,
-    bootstrap_ci,
+    bootstrap_interval,
     outcome_regression_ate,
+    resampled_points,
 )
 import umlr.estimators as estimators
 import umlr.simulation as simulation
@@ -268,8 +268,9 @@ class TestRunMonteCarlo:
 
 class TestPairedBootstrap:
     """Every bootstrapped cell of a replicate draws the resample stream of
-    the scenario's first bootstrapped cell, and all share one memo per
-    resample, as the rows of ``umlr estimate`` do."""
+    the scenario's first bootstrapped cell, and ``resampled_points``
+    evaluates all of them together, as it does the rows of ``umlr
+    estimate``."""
 
     NULL = DgpConfig(n=100, p=4, s=2, mu1=2.0, mu0=0.0, gamma_scale=0.0,
                      effect_scale=0.0, sigma=0.4, beta_scale=2.5, seed=5)
@@ -295,34 +296,41 @@ class TestPairedBootstrap:
             if name == "dml":
                 continue
             spec = EstimatorSpec(self.LEARNER, mode)
-            run = ESTIMATORS[name].run
-            lo, hi = bootstrap_ci(generate_replicate(self.NULL, r).data,
-                                  lambda d: run(d, spec, Nuisances(d)).point, B=self.B,
-                                  seed=self.ci_seed(r, 0), method=method,
-                                  center=row["point"])
+            (points,), _ = resampled_points(generate_replicate(self.NULL, r).data,
+                                            [(ESTIMATORS[name], spec)], self.B, self.ci_seed(r, 0))
             point = row["point"]
+            lo, hi = bootstrap_interval(points, self.B, 0.95, method, lambda: point)
             assert (row["ci_low"], row["ci_high"]) == (min(lo, point), max(hi, point)), row
             checked += 1
         assert checked == 80
 
     def test_one_propensity_fit_per_resample(self, monkeypatch):
         # per replicate: the full-data fit that x_learner and aipw share in
-        # both modes, DML's five fold fits, and one fit per resample
-        calls = []
-        fit_propensity = estimators.fit_propensity
+        # both modes, DML's five fold fits, and one batched fit covering
+        # every resample
+        calls, batched = [], []
+        fit_propensity, propensity_stack = estimators.fit_propensity, estimators._propensity_stack
 
         def counted(*args, **kwargs):
             calls.append(1)
             return fit_propensity(*args, **kwargs)
 
+        def counted_stack(X, t, c, l2):
+            batched.append(c.shape[0])
+            return propensity_stack(X, t, c, l2)
+
         monkeypatch.setattr(estimators, "fit_propensity", counted)
+        monkeypatch.setattr(estimators, "_propensity_stack", counted_stack)
         summaries = run_monte_carlo(self.NULL, self.LEARNER, self.SCENARIO, reps=10, B=self.B)
         assert all(s.n_failed == 0 for s in summaries)
-        assert len(calls) == 10 * (6 + self.B)
+        assert len(calls) == 10 * 6
+        assert batched == [self.B] * 10
 
     def flaky_t(self, monkeypatch, umlr_share=0.0, mlr_point_fails=False):
         """Swap in a T-learner that fails in umlr mode on about ``umlr_share``
-        of the resamples, and in mlr mode on the replicate itself if asked."""
+        of the resamples, and in mlr mode on the replicate itself if asked.
+        A swapped run is never stacked: the T cells are evaluated resample by
+        resample, beside the stacked AIPW cells of ``records``."""
         t_run = ESTIMATORS["t_learner"].run
 
         def run(data, spec, nuis, diagnostics=False):
@@ -337,13 +345,20 @@ class TestPairedBootstrap:
         monkeypatch.setitem(ESTIMATORS, "t_learner", replace(ESTIMATORS["t_learner"], run=run))
 
     def records(self):
-        return run_monte_carlo(self.NULL, self.LEARNER, self.T_BOTH, reps=10, B=self.B,
+        """The records of the T cells, which come first, and of the stacked
+        AIPW cells beside them."""
+        scenario = self.T_BOTH + [("aipw", "mlr"), ("aipw", "umlr")]
+        rows = run_monte_carlo(self.NULL, self.LEARNER, scenario, reps=10, B=self.B,
                                return_records=True)[1]
+        return ([row for row in rows if row["estimator"] == "t_learner"],
+                [row for row in rows if row["estimator"] == "aipw"])
 
     def test_a_mode_failing_on_resamples_loses_only_its_own_points(self, monkeypatch):
-        clean = self.records()
+        self.flaky_t(monkeypatch)
+        clean, clean_aipw = self.records()
         self.flaky_t(monkeypatch, umlr_share=0.02)
-        flaky = self.records()
+        flaky, flaky_aipw = self.records()
+        assert flaky_aipw == clean_aipw
         moved = 0
         for a, b in zip(clean, flaky):
             assert b["error"] is None and a["point"] == b["point"]
@@ -354,9 +369,12 @@ class TestPairedBootstrap:
         assert moved > 0  # some umlr resample did fail
 
     def test_unstable_bootstrap_errors_only_that_modes_row(self, monkeypatch):
-        clean = self.records()
+        self.flaky_t(monkeypatch)
+        clean, clean_aipw = self.records()
         self.flaky_t(monkeypatch, umlr_share=0.3)
-        for a, b in zip(clean, self.records()):
+        flaky, flaky_aipw = self.records()
+        assert flaky_aipw == clean_aipw
+        for a, b in zip(clean, flaky):
             if b["mode"] == "mlr":
                 assert a == b
             else:
@@ -364,9 +382,12 @@ class TestPairedBootstrap:
                 assert b["point"] == a["point"] and b["ci_low"] is None
 
     def test_a_failed_first_point_leaves_the_next_mode_on_the_same_stream(self, monkeypatch):
-        clean = self.records()
+        self.flaky_t(monkeypatch)
+        clean, clean_aipw = self.records()
         self.flaky_t(monkeypatch, mlr_point_fails=True)
-        for a, b in zip(clean, self.records()):
+        flaky, flaky_aipw = self.records()
+        assert flaky_aipw == clean_aipw
+        for a, b in zip(clean, flaky):
             if b["mode"] == "mlr":
                 assert b["error"] == "ResamplingError: flaky point" and b["point"] is None
             else:
