@@ -361,7 +361,7 @@ def _cmd_simulate(args) -> dict:
     ]
     if args.per_replicate:
         header = ["rep", "estimator", "mode", "true_ate", "point", "ci_low",
-                  "ci_high", "error"]
+                  "ci_high", "n_boot_failed", "error"]
         _write_csv(args.per_replicate, header,
                    [[r[h] for h in header] for r in records])
     if args.csv_out:

@@ -10,8 +10,8 @@ than the observed outcome.
 Point estimators are pure functions of (data, config); confidence intervals
 come from the case-resampling bootstrap (:func:`bootstrap_ci`, percentile or
 normal form), except DML, which carries an analytic influence-function
-interval. :func:`resampled_points` evaluates small-p ridge estimators on all
-resamples of a dataset at once, as count-weighted stacked fits.
+interval. :func:`resampled_points` evaluates ridge estimators on the
+resamples of a dataset as count-weighted fits, stacked where p is small.
 
 :data:`ESTIMATORS` is the one place an estimator is registered; the CLI and
 the Monte-Carlo harness both dispatch through it. Estimators run on the same
@@ -42,11 +42,12 @@ from .errors import (
 )
 from .learners import (
     FittedModel,
+    STACK_MAX_P,
     LearnerConfig,
+    _anchor,
     _anchor_stack,
     _dot,
     _ridge_stack,
-    anchor_recalibrate,
     fit,
     fit_constrained_linear,
 )
@@ -81,7 +82,6 @@ CI_METHODS = ("normal", "percentile")
 BOOTSTRAP_MAX_FAILURE_RATE = 0.10  # of the B resamples, before an interval is refused
 PROPENSITY_MAX_ITER = 100  # Newton steps
 PROPENSITY_GRAD_TOL = 1e-8
-STACK_MAX_P = 32  # covariates; stacked fits gain less as p grows, nothing near 64
 STACK_CELLS = 2**16  # (resample, row, column) cells per chunk: 512 KiB a stacked array
 
 
@@ -314,8 +314,10 @@ class Nuisances:
                 model = fit(cfg, X, y)
             elif umlr_route == "constrained" or (umlr_route == "auto" and cfg.kind != "gbt"):
                 model = fit_constrained_linear(cfg, X, y)
-            else:
-                model = anchor_recalibrate(self.model(cfg, "mlr", "auto", part), X, y)
+            else:  # gbt keeps its training predictions; a linear fit makes them
+                base = self.model(cfg, "mlr", "auto", part)
+                model = _anchor(base, base.predict(X) if base.train_pred is None
+                                else base.train_pred, y)
             self._memo[key] = model
         return model
 
@@ -617,13 +619,15 @@ def resampled_points(data: Dataset, cells, B: int, seed: int):
 
     A resample is a count vector: row i enters resample b ``c[b, i]`` times.
     The cells of a registered s/t/x/aipw estimator whose learner is ridge
-    with lam > 0, on at most STACK_MAX_P covariates, are evaluated on all
-    resamples at once, chunk by chunk (STACK_CELLS cells per stacked array),
-    as count-weighted fits; their points equal the per-resample ones up to
-    rounding. Every other cell is evaluated one resample at a time on the
-    resample's rows, all of them sharing the resample's :class:`Nuisances`
-    memo, and so is every resample on which a stacked fit would fail or
-    comes near a check, so failures are counted by the per-resample errors.
+    with lam > 0 are evaluated chunk by chunk (STACK_CELLS cells per stacked
+    array) as count-weighted fits, whose points equal the per-resample ones
+    up to rounding; the ridge fits of a chunk are solved in one batch on at
+    most STACK_MAX_P covariates, resample by resample on the distinct drawn
+    rows above that. Every other cell is evaluated one resample at a time on
+    the resample's rows, all of them sharing the resample's
+    :class:`Nuisances` memo, and so is every resample on which a stacked fit
+    would fail or comes near a check, so failures are counted by the
+    per-resample errors.
     """
     check_at_least("seed", seed, 0)
     values = [[None] * B for _ in cells]  # a point, or the class of the error raised
@@ -968,20 +972,19 @@ def _stack_aipw(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
 _STACKED = {_run_s: _stack_s, _run_t: _stack_t, _run_x: _stack_x, _run_aipw: _stack_aipw}
 
 
-def _stackable(entry: Estimator, spec: EstimatorSpec, data: Dataset) -> bool:
-    cfg = spec.learner
-    return (entry.run in _STACKED and cfg.kind == "ridge" and cfg.lam > 0
-            and data.p <= STACK_MAX_P)
-
-
 def _stacked_points(data: Dataset, cells, B: int, seed: int):
     """Yield ``(cell index, b, point)`` for each stackable cell and each
     resample b that no stacked check flagged, chunk by chunk; a chunk whose
     batched solve raises yields nothing."""
-    stacked = [i for i, (entry, spec) in enumerate(cells) if _stackable(entry, spec, data)]
+    stacked = [i for i, (entry, spec) in enumerate(cells) if entry.run in _STACKED
+               and spec.learner.kind == "ridge" and spec.learner.lam > 0]
     if not stacked:
         return
-    chunks = -(-B // max(1, STACK_CELLS // (data.n * (data.p + 2))))
+    # a batched ridge solve or a propensity fit stacks (k, p + 2, n) arrays;
+    # above STACK_MAX_P the ridge cells hold about ten (k, n) arrays at once
+    props = any(cells[i][0].run in (_run_x, _run_aipw) for i in stacked)
+    width = data.p + 2 if data.p <= STACK_MAX_P or props else 10
+    chunks = -(-B // max(1, STACK_CELLS // (data.n * width)))
     size = -(-B // chunks)  # chunks of even size
     for lo in range(0, B, size):
         bs = range(lo, min(B, lo + size))

@@ -28,7 +28,7 @@ so the lasso null threshold is lam_max = max_j |X_j'(y - ybar)| / n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +60,9 @@ ANCHOR_DET_TOL = 1e-12  # x the scale of the 2x2 anchoring system
 # of its threshold: those values are rounding noise, which the stacked and
 # the per-resample arithmetic round apart.
 STACK_CHECK_MARGIN = 1e-2
+# Designs of at most this many columns solve the ridge fits of all stacked
+# resamples in one batch; wider ones fit each resample on its distinct rows.
+STACK_MAX_P = 32
 _INFEASIBLE = ("anchoring constraints infeasible: the below-mean group "
                "has the covariate means of the whole sample")
 
@@ -138,6 +141,8 @@ class FittedModel:
     anchor: tuple[float, float] | None = None
     group_residual_sums: tuple[float, float] | None = None
     group_tol: float | None = None
+    # a tree ensemble's plain predictions at its training rows, kept from boosting
+    train_pred: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.group_residual_sums is not None:
@@ -402,7 +407,7 @@ def _fit_gbt(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedModel
         trees.append(_grow_tree(X, order, xs, resid, pred, config))
         mse_path.append(float(np.mean((y - pred) ** 2)))
     return FittedModel(config=config, p=p, trees=tuple(trees), init_value=init,
-                       train_mse_path=tuple(mse_path))
+                       train_mse_path=tuple(mse_path), train_pred=pred)
 
 
 def fit(config: LearnerConfig, X, y) -> FittedModel:
@@ -450,15 +455,19 @@ def anchor_recalibrate(base: FittedModel, X_train, y_train) -> FittedModel:
     where the constrained objective has no tractable exact solution.
     """
     X_train, y_train = _validate_xy(X_train, y_train)
-    split = partition_by_mean(y_train)
     # an anchored base is solved on its plain predictions: affine layers
     # compose and the 2x2 system has one solution, so the layer is the same
-    raw = replace(base, anchor=None).predict(X_train)
-    a, b = _solve_anchor(split, raw, y_train)
-    new_pred = a + b * raw
-    sums = _group_sums(split, new_pred, y_train)
+    return _anchor(base, replace(base, anchor=None).predict(X_train), y_train)
+
+
+def _anchor(base: FittedModel, raw: np.ndarray, y: np.ndarray) -> FittedModel:
+    """:func:`anchor_recalibrate` given ``raw``, the plain predictions of
+    ``base`` at the training rows of the outcome ``y``."""
+    split = partition_by_mean(y)
+    a, b = _solve_anchor(split, raw, y)
+    sums = _group_sums(split, a + b * raw, y)
     tol_scale = GBT_GROUP_TOL if base.trees is not None else LINEAR_GROUP_TOL
-    tol = tol_scale * y_train.shape[0] * max(float(np.std(y_train)), 1e-300)
+    tol = tol_scale * y.shape[0] * max(float(np.std(y)), 1e-300)
     return replace(base, anchor=(a, b), group_residual_sums=sums, group_tol=tol)
 
 
@@ -580,33 +589,59 @@ def _ridge_stack(lam: float, X: np.ndarray, y: np.ndarray, c: np.ndarray,
     :func:`_fit_ridge` fit of the resample's rows, equal up to rounding.
     ``y`` is (n,) or one outcome per resample (k, n); ``lam`` must be > 0.
 
-    The centred Gram matrices are second moments about the full-data mean,
-    sum_i c_i z_i z_i' - m zbar zbar' with z = x - mean(x); the resample
-    means zbar lie near 0, so little cancels. One batched solve makes every
-    fit, u riding as a second column for the constrained one. Returns
-    ``(coef (k, q), intercept (k,), ok (k,))`` for the plain fit and, if
-    ``constrained``, for the umlr fit; ``ok`` is False where
-    :func:`_fit_ridge` would raise or a check comes within
-    STACK_CHECK_MARGIN of failing. Every operation acts on each resample's
-    C-ordered row alone, so its numbers do not depend on what is stacked
-    with it.
+    Up to STACK_MAX_P columns the k fits are solved in one batch
+    (:func:`_solve_stacked`), above it one by one (:func:`_solve_distinct`).
+    Returns ``(coef (k, q), intercept (k,), ok (k,))`` for the plain fit
+    and, if ``constrained``, for the umlr fit, u riding as a second column
+    of the solve; ``ok`` is False where :func:`_fit_ridge` would raise or a
+    check comes within STACK_CHECK_MARGIN of failing. Every operation acts
+    on each resample's C-ordered row alone, so its numbers do not depend on
+    what is stacked with it.
     """
     c, y = np.ascontiguousarray(c), np.ascontiguousarray(y)  # rows laid out alike for any k
-    k, n = c.shape
-    q = X.shape[1]
     m = c.sum(axis=1)
-    Z = X - X.mean(axis=0)
-    zbar = (c[:, None, :] @ Z)[:, 0] / m[:, None]
     y_mean = _dot(c, y) / m
     yc = y - y_mean[:, None]
-    cols = [c * yc]
     if constrained:
         below, split_ok = _stack_split(y, c)
-        cols.append(c * below)
-    W = np.stack(cols, axis=1)
+    V = np.stack([yc, below] if constrained else [yc], axis=1)  # (k, columns, n)
+    solve = _solve_stacked if X.shape[1] <= STACK_MAX_P else _solve_distinct
+    x_mean, rhs, sol, col_ok, u_size = solve(lam, X, c, m, V)
+    coef = sol[:, :, 0]
+    fits = [(coef, y_mean - _dot(x_mean, coef), col_ok[:, 0])]
+    if constrained:
+        u, w, r1 = rhs[:, :, 1], sol[:, :, 1], c * below
+        uw = _dot(u, w)
+        coef = coef - w * ((_dot(u, coef) - _dot(r1, yc)) / uw)[:, None]
+        intercept = y_mean - _dot(x_mean, coef)
+        resid = intercept[:, None] + (coef[:, None, :] @ X.T)[:, 0] - y
+        sums = np.stack([_dot(r1, resid), _dot(c - r1, resid)])
+        tol = LINEAR_GROUP_TOL * m * np.maximum(np.sqrt(_dot(c, yc * yc) / m), 1e-300)
+        # a u of rounding size may be exactly 0 per resample, and infeasible
+        ok = (split_ok & col_ok.all(axis=1) & (uw > 0.0)
+              & (np.abs(u) > 1e-12 * u_size).any(axis=1)
+              & (np.abs(sums) <= STACK_CHECK_MARGIN * tol).all(axis=0))
+        fits.append((coef, intercept, ok))
+    return fits
+
+
+def _solve_stacked(lam, X, c, m, V):
+    """:func:`_ridge_stack`'s batched solve: the resample means of X, the
+    right-hand sides and solutions (k, q, columns), the residual flags and
+    the size of the sum that makes u. The centred Gram matrices are second
+    moments about the full-data mean, sum_i c_i z_i z_i' - m zbar zbar' with
+    z = x - mean(x); the resample means zbar lie near 0, so little cancels.
+    """
+    q = X.shape[1]
+    Z = X - X.mean(axis=0)
+    zbar = (c[:, None, :] @ Z)[:, 0] / m[:, None]
+    W = c[:, None, :] * V
     rhs = np.swapaxes(W @ Z, 1, 2)  # (k, q, columns)
-    if constrained:  # u = sum_{r1} c_i (z_i - zbar)
-        rhs[:, :, 1] -= W[:, 1].sum(axis=1)[:, None] * zbar
+    u_size = None
+    if V.shape[1] > 1:  # u = sum_{r1} c_i (z_i - zbar)
+        r1 = W[:, 1]
+        rhs[:, :, 1] -= r1.sum(axis=1)[:, None] * zbar
+        u_size = (r1[:, None, :] @ np.abs(Z))[:, 0] + r1.sum(axis=1)[:, None] * np.abs(zbar)
     G = (Z.T * c[:, None, :]) @ Z  # (k, q, n) weighted rows: O(k n q) memory
     G -= m[:, None, None] * zbar[:, :, None] * zbar[:, None, :]
     G += lam * np.eye(q)
@@ -616,24 +651,40 @@ def _ridge_stack(lam: float, X: np.ndarray, y: np.ndarray, c: np.ndarray,
                        1e-300)
     # per column at the margin, which implies _fit_ridge's check on the pair
     col_ok = np.linalg.norm(fitted - rhs, axis=1) <= STACK_CHECK_MARGIN * RIDGE_RESID_TOL * scale
-    x_mean = X.mean(axis=0) + zbar
-    coef = sol[:, :, 0]
-    fits = [(coef, y_mean - _dot(x_mean, coef), col_ok[:, 0])]
-    if constrained:
-        u, w, r1 = rhs[:, :, 1], sol[:, :, 1], W[:, 1]
-        uw = _dot(u, w)
-        coef = coef - w * ((_dot(u, coef) - _dot(r1, yc)) / uw)[:, None]
-        intercept = y_mean - _dot(x_mean, coef)
-        resid = intercept[:, None] + (coef[:, None, :] @ X.T)[:, 0] - y
-        sums = np.stack([_dot(r1, resid), _dot(c - r1, resid)])
-        tol = LINEAR_GROUP_TOL * m * np.maximum(np.sqrt(_dot(c, yc * yc) / m), 1e-300)
-        # a u of rounding size may be exactly 0 per resample, and infeasible
-        u_size = (r1[:, None, :] @ np.abs(Z))[:, 0] + r1.sum(axis=1)[:, None] * np.abs(zbar)
-        ok = (split_ok & col_ok.all(axis=1) & (uw > 0.0)
-              & (np.abs(u) > 1e-12 * u_size).any(axis=1)
-              & (np.abs(sums) <= STACK_CHECK_MARGIN * tol).all(axis=0))
-        fits.append((coef, intercept, ok))
-    return fits
+    return X.mean(axis=0) + zbar, rhs, sol, col_ok, u_size
+
+
+def _solve_distinct(lam, X, c, m, V):
+    """:func:`_solve_stacked`'s results, resample by resample on the d rows
+    drawn, centred at the resample mean and scaled by sqrt(c) into Zw (V
+    into Vw): rhs = Zw'Vw, solved in the primal (Zw'Zw + lam I) s = rhs or,
+    as Zw'a, the dual (Zw Zw' + lam I) a = Vw, whichever is smaller. A dual
+    residual r bounds the primal one by ||Zw||_F ||r||, and ||Zw||_F
+    ||Vw[:, 1]|| bounds the size of the sum making each entry of u, so flags
+    on these bounds are no looser than on the values bounded.
+    """
+    out = []
+    for cb, mb, vb in zip(c, m, V):
+        d = np.flatnonzero(cb)
+        root = np.sqrt(cb[d])[:, None]
+        Zw = X[d]
+        x_mean = cb[d] @ Zw / mb
+        Zw -= x_mean
+        Zw *= root
+        vd = vb[:, d]  # centred: rhs is kept, Vw is orthogonal to Zw Zw''s null vector sqrt(c)
+        Vw = root * (vd - (vd @ cb[d] / mb)[:, None]).T
+        rhs = Zw.T @ Vw
+        dual = d.size < X.shape[1]
+        A, B = (Zw @ Zw.T, Vw) if dual else (Zw.T @ Zw, rhs)
+        norm = np.sqrt(A.trace())  # ||Zw||_F
+        A.reshape(-1)[::A.shape[0] + 1] += lam
+        a = np.linalg.solve(A, B)
+        resid = np.linalg.norm(A @ a - B, axis=0) * (norm if dual else 1.0)
+        out.append((x_mean, rhs, Zw.T @ a if dual else a, resid,
+                    norm * np.linalg.norm(Vw[:, -1:], axis=0)))
+    x_mean, rhs, sol, resid, u_size = map(np.stack, zip(*out))
+    scale = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
+    return x_mean, rhs, sol, resid <= STACK_CHECK_MARGIN * RIDGE_RESID_TOL * scale, u_size
 
 
 def _anchor_stack(raw: np.ndarray, y: np.ndarray, c: np.ndarray):

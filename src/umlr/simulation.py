@@ -233,7 +233,7 @@ def _replicate_task(dgp: DgpConfig, cells, r: int, B: int, ci_method: str,
     for name, spec, entry in cells:
         row = {"rep": r, "estimator": name, "mode": spec.mode, "true_ate": rep.true_ate,
                "point": None, "ci_low": None, "ci_high": None, "error": None,
-               "slope_out_1": None, "slope_out_0": None}
+               "slope_out_1": None, "slope_out_0": None, "n_boot_failed": None}
         est = None
         try:
             est = entry.run(rep.data, spec, nuis)
@@ -260,8 +260,10 @@ def _replicate_task(dgp: DgpConfig, cells, r: int, B: int, ci_method: str,
     if not live:
         return rows
     ci_seed = ((dgp.seed + 1) * 1_000_003 + r) * 131 + ks[0]
-    points, _ = resampled_points(rep.data, [(cells[k][2], cells[k][1]) for k in live], B, ci_seed)
-    for k, pts in zip(live, points):
+    points, failures = resampled_points(rep.data, [(cells[k][2], cells[k][1]) for k in live],
+                                        B, ci_seed)
+    for k, pts, failed in zip(live, points, failures):
+        rows[k]["n_boot_failed"] = sum(failed.values())  # resamples lost, by any error
         level, point = cells[k][1].level, ests[k].point
         try:
             interval = bootstrap_interval(pts, B, level, ci_method, lambda: point)
@@ -296,11 +298,12 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     bootstrapped cell in ``scenario``, and
     :func:`~umlr.estimators.resampled_points` evaluates them together, so
     cells that ask for the same arm or propensity fit of a resample get one
-    fit. Small-p ridge cells are evaluated on all resamples at once as
-    count-weighted stacked fits; the others resample by resample, sharing one
+    fit. Ridge cells are evaluated as count-weighted fits, stacked over
+    resamples; the others resample by resample, sharing one
     :class:`~umlr.estimators.Nuisances` memo per resample. A cell that fails
-    on a resample loses only its own point, and each cell's interval is
-    refused on its own.
+    on a resample loses only its own point, each cell's interval is refused
+    on its own, and its record's ``n_boot_failed`` counts the resamples it
+    lost (None when the cell is not bootstrapped).
 
     Intervals default to the normal-approximation bootstrap
     (``ci_method="normal"``): regularized fits grow extra shrinkage bias

@@ -1,9 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import umlr.estimators as estimators
+import umlr.simulation as simulation
 from umlr import (
     ConvergenceError,
     Dataset,
@@ -416,36 +418,65 @@ class TestBootstrapCi:
 
 
 class TestStackedBootstrap:
-    """Small-p ridge cells are evaluated on all resamples at once as
-    count-weighted fits; each resample must give what it gives evaluated on
-    its own rows, failures included."""
+    """Ridge cells are evaluated on the resamples as count-weighted fits,
+    batched at small p and on each resample's distinct rows above
+    STACK_MAX_P; each resample must give what it gives evaluated on its own
+    rows, failures included."""
 
     NULL = DgpConfig(n=160, p=4, s=2, mu1=2.0, mu0=0.0, gamma_scale=0.0,
                      effect_scale=0.0, sigma=0.4, beta_scale=2.5, seed=20250808)
+    # p = 40 > STACK_MAX_P: an arm of about 60 rows draws about 38 distinct
+    # rows, fewer than p (the dual form) or more (the primal form)
+    WIDE = DgpConfig(n=120, p=40, s=5, seed=20250808)
+    # The wide design's penalties. At propensity_l2 = 1 the stacked propensity
+    # fit comes near its line-search check on most of these resamples, which
+    # then run one by one and would leave the ridge kernel untested. At
+    # lam = 0.1 the arm fits nearly interpolate, and rounding moves points
+    # near 0 by more than 1e-12 of themselves (about 2e-13 absolute).
+    WIDE_L2 = 30.0
+    WIDE_LEARNER = LearnerConfig(kind="ridge", lam=1.0)
     LEARNER = LearnerConfig(kind="ridge", lam=0.1)
     NAMES = ("s_learner", "t_learner", "x_learner", "aipw")
 
-    def cells(self, umlr_route="auto"):
-        return [(ESTIMATORS[name], EstimatorSpec(self.LEARNER, mode, umlr_route))
+    def cells(self, umlr_route="auto", wide=False):
+        learner, l2 = (self.WIDE_LEARNER, self.WIDE_L2) if wide else (self.LEARNER, 1.0)
+        return [(ESTIMATORS[name], EstimatorSpec(learner, mode, umlr_route, l2))
                 for name in self.NAMES for mode in ("mlr", "umlr")]
 
     @staticmethod
     def one_by_one(monkeypatch, data, cells, B, seed):
         with monkeypatch.context() as m:
-            m.setattr(estimators, "STACK_MAX_P", 0)
+            m.setattr(estimators, "_STACKED", {})  # no cell is stacked
             return resampled_points(data, cells, B, seed)
+
+    @staticmethod
+    def redone(monkeypatch, data, cells, B, seed):
+        """resampled_points, and the resamples it evaluated one by one."""
+        redone = []
+        on_resample = estimators._on_resample
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_on_resample",
+                      lambda *a: redone.append(a[2]) or on_resample(*a))
+            return resampled_points(data, cells, B, seed), redone
+
+    @staticmethod
+    def tiny_treated_arm(p):
+        """40 units, 6 of them treated, whose outcomes take two values."""
+        rng = np.random.default_rng(8)
+        n = 40
+        X = rng.standard_normal((n, p))
+        t = np.zeros(n, dtype=int)
+        t[:6] = 1
+        y = X[:, 0] + 0.5 * rng.standard_normal(n)
+        y[:6] = [1.0, 1.0, 1.0, 3.0, 3.0, 3.0]
+        return Dataset(X, t, y)
 
     @pytest.mark.parametrize("umlr_route", ["auto", "anchored"])
     def test_each_resample_matches_its_own_fits(self, monkeypatch, umlr_route):
         cells = self.cells(umlr_route)
         for r in range(3):
             data = generate_replicate(self.NULL, r).data
-            redone = []
-            on_resample = estimators._on_resample
-            with monkeypatch.context() as m:
-                m.setattr(estimators, "_on_resample",
-                          lambda *a: redone.append(a[2]) or on_resample(*a))
-                points, failures = resampled_points(data, cells, 100, r)
+            (points, failures), redone = self.redone(monkeypatch, data, cells, 100, r)
             assert redone == []  # no stacked check flagged a resample of these
             ref_points, ref_failures = self.one_by_one(monkeypatch, data, cells, 100, r)
             assert failures == ref_failures == [Counter()] * len(cells)
@@ -456,14 +487,7 @@ class TestStackedBootstrap:
         # a 6-unit treated arm: resamples drawing fewer than 5 of its units
         # fail in every cell, and the umlr arm fits of those drawing only
         # units of one of its two outcome values fail too
-        rng = np.random.default_rng(8)
-        n = 40
-        X = rng.standard_normal((n, 3))
-        t = np.zeros(n, dtype=int)
-        t[:6] = 1
-        y = X[:, 0] + 0.5 * rng.standard_normal(n)
-        y[:6] = [1.0, 1.0, 1.0, 3.0, 3.0, 3.0]
-        data = Dataset(X, t, y)
+        data = self.tiny_treated_arm(3)
         cells = self.cells()
         B = 200
         points, failures = resampled_points(data, cells, B, 0)
@@ -514,6 +538,82 @@ class TestStackedBootstrap:
                 monkeypatch.setattr(estimators, "STACK_CELLS", budget)
                 runs.append(resampled_points(data, cells, 100, r))
             assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("umlr_route", ["auto", "anchored"])
+    def test_wide_resamples_match_their_own_fits(self, monkeypatch, umlr_route):
+        cells = self.cells(umlr_route, wide=True)
+        for r in range(2):
+            data = generate_replicate(self.WIDE, r).data
+            drawn = [np.unique(estimators._draw(data.n, r, b)) for b in range(100)]
+            distinct = [np.count_nonzero(data.t[d] == arm) for d in drawn for arm in (0, 1)]
+            assert min(distinct) < self.WIDE.p < max(distinct)  # both forms are solved
+            (points, failures), redone = self.redone(monkeypatch, data, cells, 100, r)
+            assert redone == []
+            ref_points, ref_failures = self.one_by_one(monkeypatch, data, cells, 100, r)
+            assert failures == ref_failures == [Counter()] * len(cells)
+            for got, ref in zip(points, ref_points):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_wide_failures_are_counted_by_the_per_resample_error(self, monkeypatch):
+        data = self.tiny_treated_arm(40)
+        cells = self.cells(wide=True)
+        (points, failures), redone = self.redone(monkeypatch, data, cells, 200, 0)
+        ref_points, ref_failures = self.one_by_one(monkeypatch, data, cells, 200, 0)
+        assert failures == ref_failures
+        assert all(failed["InvalidInputError"] > 0 for failed in failures)
+        assert len(redone) < 200  # the others were evaluated stacked
+        for got, ref in zip(points, ref_points):  # some points lie near 0: rounding
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+    def test_wide_points_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        data = generate_replicate(self.WIDE, 0).data
+        # with propensity fits, whose stacked arrays are wide, and without
+        for cells in (self.cells(wide=True), self.cells(wide=True)[:4]):
+            runs = []
+            for budget in (1, 10**9):  # one resample per chunk; all B in one
+                monkeypatch.setattr(estimators, "STACK_CELLS", budget)
+                runs.append(resampled_points(data, cells, 60, 0))
+            assert runs[0] == runs[1]
+
+    def test_wide_worker_threads_give_identical_records(self):
+        scenario = [(name, mode) for name in self.NAMES for mode in ("mlr", "umlr")]
+        runs = [run_monte_carlo(self.WIDE, self.WIDE_LEARNER, scenario, reps=10, B=50,
+                                propensity_l2=self.WIDE_L2, workers=workers,
+                                return_records=True)[1]
+                for workers in (1, 2)]
+        assert runs[0] == runs[1]
+
+    def test_no_criterion_3_resample_runs_one_by_one(self, monkeypatch):
+        # the design of acceptance criterion 3, where most Tier-1 time goes
+        dgp = DgpConfig(n=500, p=200, s=10, mu1=6.0, mu0=0.0, gamma_scale=0.3,
+                        sigma=2.0, seed=20250808)
+        cells = [(ESTIMATORS["t_learner"],
+                  EstimatorSpec(LearnerConfig(kind="ridge", lam=250.0), mode, "anchored"))
+                 for mode in ("mlr", "umlr")]
+        for r in range(2):
+            data = generate_replicate(dgp, r).data
+            (_, failures), redone = self.redone(monkeypatch, data, cells, 200, r)
+            assert redone == [] and failures == [Counter()] * 2
+
+    def test_a_record_counts_the_resamples_its_cell_lost(self, monkeypatch):
+        data = self.tiny_treated_arm(3)
+        lost = []
+
+        def counted(*args):
+            points, failures = resampled_points(*args)
+            lost.append([sum(failed.values()) for failed in failures])
+            return points, failures
+
+        monkeypatch.setattr(simulation, "resampled_points", counted)
+        monkeypatch.setattr(simulation, "generate_replicate",
+                            lambda dgp, r: replace(generate_replicate(dgp, r), data=data))
+        scenario = [(name, mode) for name in (*self.NAMES, "dml") for mode in ("mlr", "umlr")]
+        records = run_monte_carlo(self.NULL, self.LEARNER, scenario, reps=10, B=100,
+                                  return_records=True)[1]
+        for r, counts in enumerate(lost):
+            rows = records[r * len(scenario):(r + 1) * len(scenario)]
+            assert [row["n_boot_failed"] for row in rows] == [*counts, None, None]
+            assert all(count > 0 for count in counts)
 
 
 class TestPermutationInvariance:

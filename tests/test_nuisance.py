@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import umlr.estimators as estimators
-from umlr import ConvergenceError, Dataset, LearnerConfig
+import umlr.learners as learners
+from umlr import ConvergenceError, Dataset, LearnerConfig, anchor_recalibrate
 from umlr.cli import load_csv, main
 from umlr.estimators import ESTIMATORS, EstimatorSpec, Nuisances, bootstrap_ci
 
@@ -121,6 +122,26 @@ def test_anchored_model_wraps_the_plain_fit(fit_counts):
     assert fit_counts["gbt"] == 1 and anchored.trees is plain.trees
     assert np.array_equal(nuis.predictions(GBT, "umlr", "auto", ("arm", 1)),
                           anchored.predict(X))
+
+
+def test_anchored_gbt_arm_reuses_the_training_predictions(monkeypatch):
+    # boosting already predicted every training row; anchoring the arm must
+    # not route those rows through the trees again, nor move the layer
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((60, 3))
+    t = np.arange(60) % 2
+    data = Dataset(X, t, X[:, 0] + t + rng.standard_normal(60))
+    nuis = Nuisances(data)
+    plain = nuis.model(GBT, "mlr", "auto", ("arm", 1))
+    passes = []
+    tree_predict = learners._Tree.predict
+    monkeypatch.setattr(learners._Tree, "predict",
+                        lambda tree, rows: passes.append(len(rows)) or tree_predict(tree, rows))
+    anchored = nuis.model(GBT, "umlr", "anchored", ("arm", 1))
+    assert passes == []
+    rows = data.arm_indices(1)
+    assert anchored.anchor == anchor_recalibrate(plain, X[rows], data.y[rows]).anchor
+    assert passes == [rows.size] * GBT.n_trees  # what the public function costs
 
 
 def test_failed_fit_is_not_stored(fit_counts):
