@@ -359,6 +359,12 @@ def _cmd_simulate(args) -> dict:
         f"{s.estimator}/{s.mode}: {s.n_failed} of {s.reps} replicates failed"
         for s in summaries if s.n_failed > 0
     ]
+    for s in summaries:  # each bootstrapped record counts the resamples its cell lost
+        lost = [r["n_boot_failed"] for r in records if r["n_boot_failed"] is not None
+                and (r["estimator"], r["mode"]) == (s.estimator, s.mode)]
+        if sum(lost) > 0:
+            warnings.append(f"{s.estimator}/{s.mode}: {sum(lost)} of "
+                            f"{len(lost) * cfg['bootstrap']} bootstrap resamples failed")
     if args.per_replicate:
         header = ["rep", "estimator", "mode", "true_ate", "point", "ci_low",
                   "ci_high", "n_boot_failed", "error"]

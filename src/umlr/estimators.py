@@ -10,8 +10,8 @@ than the observed outcome.
 Point estimators are pure functions of (data, config); confidence intervals
 come from the case-resampling bootstrap (:func:`bootstrap_ci`, percentile or
 normal form), except DML, which carries an analytic influence-function
-interval. :func:`resampled_points` evaluates ridge estimators on the
-resamples of a dataset as count-weighted fits, stacked where p is small.
+interval. :func:`resampled_points` evaluates the ridge s/t/x/aipw cells on
+all resamples of a chunk at once, through the count kernels.
 
 :data:`ESTIMATORS` is the one place an estimator is registered; the CLI and
 the Monte-Carlo harness both dispatch through it. Estimators run on the same
@@ -41,13 +41,17 @@ from .errors import (
     UnstableBootstrapError,
 )
 from .learners import (
-    FittedModel,
+    LINEAR_GROUP_TOL,
     STACK_MAX_P,
     LearnerConfig,
     _anchor,
-    _anchor_stack,
-    _dot,
-    _ridge_stack,
+    _anchor_kernel,
+    _fail,
+    _merge,
+    _ok,
+    _raise,
+    _ridge_kernel,
+    _solve,
     fit,
     fit_constrained_linear,
 )
@@ -193,54 +197,87 @@ def fit_propensity(X, t, l2: float = 1.0, clip=DEFAULT_CLIP) -> PropensityModel:
         raise InvalidInputError("X must be (n, p) and t length n")
     check_nonnegative("l2", l2)
     check_clip(clip)
-    classes = np.unique(t)
-    if not np.all(np.isin(classes, (0.0, 1.0))) or classes.size < 2:
+    if not np.isin(t, (0.0, 1.0)).all():  # the kernel reports a missing class
         raise InvalidInputError("t must contain both classes 0 and 1")
-    n, p = X.shape
-    D = np.column_stack([np.ones(n), X])
-    theta = np.zeros(p + 1)
-    pen = np.zeros(p + 1)
-    pen[1:] = l2
+    theta, status = _propensity_kernel(X, t, np.ones((1, X.shape[0])), l2)
+    _raise(status)
+    return PropensityModel(coef=theta[0, 1:], intercept=float(theta[0, 0]), clip=clip)
 
-    def objective(th):
-        z = D @ th
-        return float(np.logaddexp(0.0, z).sum() - t @ z + 0.5 * pen @ th**2)
 
-    obj = objective(theta)
+@np.errstate(all="ignore")
+def _propensity_kernel(X: np.ndarray, t: np.ndarray, c: np.ndarray, l2: float):
+    """The logistic fits of t (n,) on X (n, p) under the case resamples c
+    (k, n): damped Newton steps on each resample's count-weighted penalized
+    likelihood, each stopping and halving its step on its own. Returns theta
+    (k, p + 1), intercept first, and the status (see the count kernels of
+    :mod:`umlr.learners`)."""
+    c = np.ascontiguousarray(c)  # rows laid out alike for any k
+    D = np.column_stack([np.ones(c.shape[1]), X])
+    pen = np.full(D.shape[1], float(l2))
+    pen[0] = 0.0  # the intercept is unpenalized
+    ct = c * t
+    status = _ok(len(c))
+    treated = ct.sum(axis=1)
+    _fail(status, (treated == 0) | (treated == c.sum(axis=1)),
+          InvalidInputError, "t must contain both classes 0 and 1")
+    stuck = "logistic fit did not converge; data may be separable with l2 = 0 (try l2 > 0)"
+
+    def objective(th, cw, ctw):
+        z = np.matvec(D, th)
+        return (cw * np.logaddexp(0.0, z)).sum(axis=1) - np.vecdot(ctw, z) \
+            + 0.5 * np.vecdot(th**2, pen), z
+
+    theta = np.zeros((len(c), D.shape[1]))
+    live = np.flatnonzero(np.equal(status, None))  # the resamples still stepping, and theirs:
+    th, cw, ctw = theta[live], c[live], ct[live]
+    obj, z = objective(th, cw, ctw)
+    H_pen = np.diag(pen)
     for _ in range(PROPENSITY_MAX_ITER):
-        z = D @ theta
         prob = _expit(z)
-        grad = D.T @ (prob - t) + pen * theta
-        if np.max(np.abs(grad)) < PROPENSITY_GRAD_TOL:
-            separated = np.all((2.0 * t - 1.0) * z > 0) and np.max(np.abs(z)) > 10.0
-            if l2 == 0.0 and separated:
-                # saturated logits silence the gradient under separation;
-                # without a penalty there is no finite maximizer
-                raise ConvergenceError(
-                    "classes are separable and l2 = 0 has no finite optimum "
-                    "(try l2 > 0)"
-                )
-            return PropensityModel(coef=theta[1:].copy(), intercept=float(theta[0]), clip=clip)
-        w = prob * (1.0 - prob)
-        H = D.T @ (D * w[:, None]) + np.diag(pen)
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"logistic Newton step failed: {exc}") from exc
-        scale = 1.0
+        grad = np.vecmat(cw * (prob - t), D) + pen * th
+        done = np.abs(grad).max(axis=1) < PROPENSITY_GRAD_TOL
+        if l2 == 0.0:
+            # saturated logits silence the gradient under separation;
+            # without a penalty there is no finite maximizer
+            drawn = cw > 0
+            separated = ((~drawn | ((2.0 * t - 1.0) * z > 0)).all(axis=1)
+                         & (np.where(drawn, np.abs(z), 0.0).max(axis=1) > 10.0))
+            status[live[done & separated]] = ConvergenceError(
+                "classes are separable and l2 = 0 has no finite optimum (try l2 > 0)")
+        if done.any():
+            theta[live[done]] = th[done]
+            if done.all():
+                return theta, status
+            live, th, cw, ctw, obj, z, prob, grad = (
+                v[~done] for v in (live, th, cw, ctw, obj, z, prob, grad))
+        H = D.T @ (D * (cw * prob * (1.0 - prob))[:, :, None]) + H_pen
+        step, failed = _solve(H, grad[:, :, None])
+        step, scale = step[:, :, 0], 1.0
+        if failed is not None:
+            status[live[failed]] = ConvergenceError("logistic Newton step failed: Singular matrix")
+            step[failed] = 0.0  # stays put, and is dropped below
         for _ in range(50):
-            cand = theta - scale * step
-            cand_obj = objective(cand)
-            if cand_obj <= obj + 1e-12 * abs(obj):
-                theta, obj = cand, cand_obj
+            cand = th - scale * step
+            cand_obj, cand_z = objective(cand, cw, ctw)
+            accept = cand_obj <= obj + 1e-12 * np.abs(obj)
+            if accept.all():
+                th, obj, z = cand, cand_obj, cand_z
                 break
+            np.copyto(th, cand, where=accept[:, None])
+            np.copyto(obj, cand_obj, where=accept)
+            np.copyto(z, cand_z, where=accept[:, None])
+            step[accept] = 0.0  # accepted: stays put while the others halve
             scale *= 0.5
-        else:
-            break
-    raise ConvergenceError(
-        "logistic fit did not converge; data may be separable with l2 = 0 "
-        "(try l2 > 0)"
-    )
+        else:  # no step decreased the objective
+            halted = step.any(axis=1)
+            status[live[halted]] = ConvergenceError(stuck)
+            failed = halted if failed is None else failed | halted
+        if failed is not None:
+            live, th, cw, ctw, obj, z = (v[~failed] for v in (live, th, cw, ctw, obj, z))
+            if not live.size:
+                return theta, status
+    status[live] = ConvergenceError(stuck)
+    return theta, status
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +308,37 @@ class Nuisances:
     Propensity fits are keyed by ``(l2, clip)`` and the fold left out; no key
     looks at array contents. A fit that raises is not stored. Entries are
     shared between callers, who must not modify them.
+
+    Given ``counts`` (k, n), the memo holds k case resamples of ``data``
+    (row i drawn ``counts[b, i]`` times): the count kernels make its ridge
+    (lam > 0) arm and s fits and full-data propensity fit, predictions are
+    (k, n), and each access to an entry adds its fits' errors to ``status``.
     """
 
-    def __init__(self, data: Dataset):
-        self.data = data
+    def __init__(self, data: Dataset, counts: np.ndarray | None = None):
+        self.data, self.c = data, counts
+        self.status = None if counts is None else _ok(len(counts))
         self._memo = {}
 
     def _get(self, key, make):
-        value = self._memo.get(key)  # no entry is None
-        if value is None:
-            value = self._memo[key] = make()
-        return value
+        entry = self._memo.get(key)  # no entry is None
+        if entry is None:
+            if self.c is None:
+                entry = self._memo[key] = make(), None
+            else:  # collect the errors of the entry's own fits
+                outer, self.status = self.status, _ok(len(self.c))
+                try:
+                    entry = self._memo[key] = make(), self.status
+                finally:
+                    self.status = outer
+        if entry[1] is not None:
+            _merge(self.status, entry[1])
+        return entry[0]
+
+    def mean(self, v: np.ndarray):
+        """The mean over the units of per-unit values: a float, or with
+        counts each resample's (k,) of v (k, n)."""
+        return float(np.mean(v)) if self.c is None else np.vecdot(self.c, v) / self.data.n
 
     def folds(self, folds: int) -> np.ndarray:
         return self._get(("folds", folds), lambda: _assign_folds(self.data, folds))
@@ -289,61 +346,80 @@ class Nuisances:
     def rows(self, arm: int) -> np.ndarray:
         return self._get(("rows", arm), lambda: self.data.arm_indices(arm))
 
-    def _training(self, part) -> tuple[np.ndarray, np.ndarray]:
+    def _training(self, part):
         X, t, y = self.data.X, self.data.t, self.data.y
         if part[0] == "s":
-            return _augment(X, t.astype(float)), y
-        if part[0] == "arm":
+            rows, X = slice(None), _augment(X, t.astype(float))
+        elif part[0] == "arm":
             rows = self.rows(part[1])
         else:
             rows = np.flatnonzero((t == part[3]) & (self.folds(part[1]) != part[2]))
-        return X[rows], y[rows]
+        return X[rows], y[rows], None if self.c is None else np.ascontiguousarray(self.c[:, rows])
 
-    # model and predictions inline the memo lookup: they sit on the
-    # bootstrap hot path, where every memo is new
-    def model(self, cfg: LearnerConfig, mode: str, umlr_route: str, part) -> FittedModel:
-        """The outcome model of ``part``; the "auto" umlr route is constrained
-        for ridge and lasso, anchored (wrapping the plain fit) for gbt."""
-        key = (cfg, mode, umlr_route if mode == "umlr" else "auto", part)
-        model = self._memo.get(key)
-        if model is None:
+    def model(self, cfg: LearnerConfig, mode: str, umlr_route: str, part):
+        """The outcome model of ``part``, a FittedModel, or with counts the
+        kernel's fits; the "auto" umlr route is constrained for ridge and
+        lasso, anchored (wrapping the plain fit) for gbt."""
+        route = umlr_route if mode == "umlr" else "auto"
+
+        def make():
             check_choice("mode", mode, MODES)
             check_choice("umlr_route", umlr_route, UMLR_ROUTES)
-            X, y = self._training(part)
-            if mode == "mlr":
-                model = fit(cfg, X, y)
-            elif umlr_route == "constrained" or (umlr_route == "auto" and cfg.kind != "gbt"):
-                model = fit_constrained_linear(cfg, X, y)
-            else:  # gbt keeps its training predictions; a linear fit makes them
+            X, y, c = self._training(part)
+            below = None if c is None else y <= ((c * y).sum(axis=1) / c.sum(axis=1))[:, None]
+            if route == "anchored" or (route == "auto" and mode == "umlr" and cfg.kind == "gbt"):
                 base = self.model(cfg, "mlr", "auto", part)
-                model = _anchor(base, base.predict(X) if base.train_pred is None
-                                else base.train_pred, y)
-            self._memo[key] = model
-        return model
+                if c is None:  # gbt keeps its training predictions; a linear fit makes them
+                    return _anchor(base, base.predict(X) if base.train_pred is None
+                                   else base.train_pred, y)
+                a, b, _, _, status = _anchor_kernel(base.predict(X), y, c, below, LINEAR_GROUP_TOL)
+                _merge(self.status, status)
+                return base._replace(anchor=(a[:, None], b[:, None]))
+            if c is None:
+                return (fit if mode == "mlr" else fit_constrained_linear)(cfg, X, y)
+            fits = self._get(("fits", cfg, part), lambda: _ridge_kernel(cfg.lam, X, y, c, below))
+            _merge(self.status, fits[mode == "umlr"].status)
+            return fits[mode == "umlr"]
+
+        return self._get((cfg, mode, route, part), make)
 
     def predictions(self, cfg: LearnerConfig, mode: str, umlr_route: str, part) -> np.ndarray:
         """The model of an arm part on every row, of a fold part on the fold's
         held-out rows. An anchored model's are ``a + b *`` the plain fit's,
         which is how the anchored model computes them."""
-        key = ("pred", cfg, mode, umlr_route if mode == "umlr" else "auto", part)
-        pred = self._memo.get(key)
-        if pred is None:
+        def make():
             model = self.model(cfg, mode, umlr_route, part)
             if model.anchor is not None:
                 a, b = model.anchor
-                pred = a + b * self.predictions(cfg, "mlr", "auto", part)
-            else:
-                X = self.data.X
-                pred = model.predict(X if part[0] == "arm" else X[self.folds(part[1]) == part[2]])
-            self._memo[key] = pred
-        return pred
+                return a + b * self.predictions(cfg, "mlr", "auto", part)
+            X = self.data.X
+            return model.predict(X if part[0] == "arm" else X[self.folds(part[1]) == part[2]])
 
-    def propensity(self, l2: float, clip, fold=None) -> PropensityModel:
-        """The full-data propensity fit, or the one that leaves out DML fold
-        ``fold = (folds, k)``."""
+        return self._get(("pred", cfg, mode, umlr_route if mode == "umlr" else "auto", part), make)
+
+    def refit(self, cfg: LearnerConfig, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The plain fit of ``target`` on ``rows``, predicted at every row."""
+        X = self.data.X
+        if self.c is None:
+            return fit(cfg, X[rows], target).predict(X)
+        fits, = _ridge_kernel(cfg.lam, X[rows], target, self.c[:, rows])
+        _merge(self.status, fits.status)
+        return fits.predict(X)
+
+    def propensity(self, l2: float, clip, fold=None) -> np.ndarray:
+        """The clipped propensity scores of every row under the full-data
+        fit, or of DML fold ``fold = (folds, k)``'s rows under the fit that
+        leaves them out."""
         def make():
-            keep = slice(None) if fold is None else self.folds(fold[0]) != fold[1]
-            return fit_propensity(self.data.X[keep], self.data.t[keep], l2=l2, clip=clip)
+            X, t = self.data.X, self.data.t
+            if self.c is not None:  # the full-data fit of each resample
+                theta, status = _propensity_kernel(X, t, self.c, l2)
+                _merge(self.status, status)
+                return np.clip(_expit(theta[:, :1] + np.matvec(X, theta[:, 1:])), *clip)
+            if fold is None:
+                return fit_propensity(X, t, l2=l2, clip=clip).predict_proba(X)
+            test = self.folds(fold[0]) == fold[1]
+            return fit_propensity(X[~test], t[~test], l2=l2, clip=clip).predict_proba(X[test])
 
         return self._get(("prop", l2, tuple(clip), fold), make)
 
@@ -351,10 +427,17 @@ class Nuisances:
 def _check_arms(nuis: Nuisances, cfg: LearnerConfig) -> tuple[np.ndarray, np.ndarray]:
     control, treated = nuis.rows(0), nuis.rows(1)
     need = max(5, cfg.min_leaf) if cfg.kind == "gbt" else 5
-    if treated.size < need or control.size < need:
-        raise InvalidInputError(
-            f"each arm needs >= {need} units; got {treated.size} treated, {control.size} control"
-        )
+    if nuis.c is None:
+        n0, n1 = control.size, treated.size
+    else:
+        n0, n1 = (nuis._get(("units", arm), lambda: nuis.c[:, rows].sum(axis=1))
+                  for arm, rows in enumerate((control, treated)))
+    bad = np.minimum(n0, n1) < need
+    if bad.any():
+        message = f"each arm needs >= {need} units; got {n1} treated, {n0} control"
+        if nuis.c is None:
+            raise InvalidInputError(message)
+        _fail(nuis.status, bad, InvalidInputError, message)
     return control, treated
 
 
@@ -380,19 +463,64 @@ def outcome_regression_ate(data: Dataset, mu0, mu1) -> float:
     return float(np.mean(_predictions(mu1, data) - _predictions(mu0, data)))
 
 
-def _arm_models(data: Dataset, cfg: LearnerConfig, mode: str, umlr_route: str,
-                with_diagnostics: bool, nuis: Nuisances):
+def _arm_models(nuis: Nuisances, spec: EstimatorSpec, diagnostics: bool):
     """One outcome model per arm from the memo; returns (control rows,
     treated rows, model0, model1, per-arm shrinkage reports or None)."""
-    control, treated = _check_arms(nuis, cfg)
-    model0, model1 = [nuis.model(cfg, mode, umlr_route, ("arm", arm)) for arm in (0, 1)]
+    control, treated = _check_arms(nuis, spec.learner)
+    model0, model1 = [nuis.model(spec.learner, spec.mode, spec.umlr_route, ("arm", arm))
+                      for arm in (0, 1)]
     diag = None
-    if with_diagnostics:
-        diag = {
-            "mu0": _safe_report(data.y[control], model0.predict(data.X[control])),
-            "mu1": _safe_report(data.y[treated], model1.predict(data.X[treated])),
-        }
+    if diagnostics:
+        X, y = nuis.data.X, nuis.data.y
+        diag = {"mu0": _safe_report(y[control], model0.predict(X[control])),
+                "mu1": _safe_report(y[treated], model1.predict(X[treated]))}
     return control, treated, model0, model1, diag
+
+
+# The registered runs of the outcome-regression estimators: each is the one
+# formula of its point. On a memo of case resamples (``Nuisances(data,
+# counts)``) it evaluates all k of them at once, and its point is (k,).
+
+def _run_s(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    _check_arms(nuis, spec.learner)
+    model = nuis.model(spec.learner, spec.mode, spec.umlr_route, ("s",))
+    pred1 = model.predict(_augment(data.X, np.ones(data.n)))
+    pred0 = model.predict(_augment(data.X, np.zeros(data.n)))
+    diag = None
+    if diagnostics:
+        diag = {"mu": _safe_report(data.y, model.predict(_augment(data.X, data.t.astype(float))))}
+    return AteEstimate(point=nuis.mean(pred1 - pred0), estimator="s_learner", mode=spec.mode,
+                       n_used=data.n, diagnostics=diag)
+
+
+def _run_t(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    diag = _arm_models(nuis, spec, diagnostics)[-1]
+    mu0, mu1 = [nuis.predictions(spec.learner, spec.mode, spec.umlr_route, ("arm", arm))
+                for arm in (0, 1)]
+    return AteEstimate(point=nuis.mean(mu1 - mu0), estimator="t_learner", mode=spec.mode,
+                       n_used=data.n, diagnostics=diag)
+
+
+def _x_learner(nuis: Nuisances, spec: EstimatorSpec, e: np.ndarray, diagnostics: bool):
+    control, treated, model0, model1, diag = _arm_models(nuis, spec, diagnostics)
+    X, y = nuis.data.X, nuis.data.y
+    tau1 = nuis.refit(spec.learner, treated, y[treated] - model0.predict(X[treated]))
+    tau0 = nuis.refit(spec.learner, control, model1.predict(X[control]) - y[control])
+    return AteEstimate(point=nuis.mean(e * tau0 + (1.0 - e) * tau1), estimator="x_learner",
+                       mode=spec.mode, n_used=nuis.data.n, diagnostics=diag)
+
+
+def _run_x(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    return _x_learner(nuis, spec, nuis.propensity(spec.propensity_l2, spec.clip), diagnostics)
+
+
+def _run_aipw(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
+    _check_arms(nuis, spec.learner)
+    mu0, mu1 = [nuis.predictions(spec.learner, spec.mode, spec.umlr_route, ("arm", arm))
+                for arm in (0, 1)]
+    e = nuis.propensity(spec.propensity_l2, spec.clip)
+    return AteEstimate(point=nuis.mean(_aipw_scores(data, mu0, mu1, e)), estimator="aipw",
+                       mode=spec.mode, n_used=data.n)
 
 
 def t_learner(data: Dataset, cfg: LearnerConfig, mode: str = "mlr",
@@ -407,12 +535,8 @@ def t_learner(data: Dataset, cfg: LearnerConfig, mode: str = "mlr",
     supplies the fits; a fresh one is used when it is omitted.
     """
     nuis = nuis or Nuisances(data)
-    _, _, model0, model1, diag = _arm_models(data, cfg, mode, umlr_route,
-                                             with_diagnostics, nuis)
-    mu0, mu1 = [nuis.predictions(cfg, mode, umlr_route, ("arm", arm)) for arm in (0, 1)]
-    point = outcome_regression_ate(data, mu0, mu1)
-    est = AteEstimate(point=point, estimator="t_learner", mode=mode,
-                      n_used=data.n, diagnostics=diag)
+    est = _run_t(data, EstimatorSpec(cfg, mode, umlr_route), nuis, with_diagnostics)
+    model0, model1 = [nuis.model(cfg, mode, umlr_route, ("arm", arm)) for arm in (0, 1)]
     return model0, model1, est
 
 
@@ -426,17 +550,8 @@ def s_learner(data: Dataset, cfg: LearnerConfig, mode: str = "mlr",
     """Single model on [X, t] with a full-sample anchoring split in umlr
     mode; returns (model, estimate)."""
     nuis = nuis or Nuisances(data)
-    _check_arms(nuis, cfg)
-    model = nuis.model(cfg, mode, umlr_route, ("s",))
-    pred1 = model.predict(_augment(data.X, np.ones(data.n)))
-    pred0 = model.predict(_augment(data.X, np.zeros(data.n)))
-    point = float(np.mean(pred1 - pred0))
-    diag = None
-    if with_diagnostics:
-        diag = {"mu": _safe_report(data.y, model.predict(_augment(data.X, data.t.astype(float))))}
-    est = AteEstimate(point=point, estimator="s_learner", mode=mode,
-                      n_used=data.n, diagnostics=diag)
-    return model, est
+    est = _run_s(data, EstimatorSpec(cfg, mode, umlr_route), nuis, with_diagnostics)
+    return nuis.model(cfg, mode, umlr_route, ("s",)), est
 
 
 def x_learner(data: Dataset, cfg: LearnerConfig, mode: str, prop: PropensityModel,
@@ -447,16 +562,8 @@ def x_learner(data: Dataset, cfg: LearnerConfig, mode: str, prop: PropensityMode
     Anchoring applies to the stage-1 outcome models only; stage-2 models
     target pseudo-outcomes, not the observed outcome.
     """
-    control, treated, model0, model1, diag = _arm_models(
-        data, cfg, mode, umlr_route, with_diagnostics, nuis or Nuisances(data))
-    d_treated = data.y[treated] - model0.predict(data.X[treated])
-    d_control = model1.predict(data.X[control]) - data.y[control]
-    tau1 = fit(cfg, data.X[treated], d_treated)
-    tau0 = fit(cfg, data.X[control], d_control)
-    e = prop.predict_proba(data.X)
-    tau = e * tau0.predict(data.X) + (1.0 - e) * tau1.predict(data.X)
-    return AteEstimate(point=float(np.mean(tau)), estimator="x_learner", mode=mode,
-                       n_used=data.n, diagnostics=diag)
+    return _x_learner(nuis or Nuisances(data), EstimatorSpec(cfg, mode, umlr_route),
+                      prop.predict_proba(data.X), with_diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +583,11 @@ def _propensities(prop, data: Dataset) -> np.ndarray:
 
 def aipw_scores(data: Dataset, mu0, mu1, prop) -> np.ndarray:
     """Per-unit augmented IPW scores whose mean is the AIPW estimate."""
-    m0 = _predictions(mu0, data)
-    m1 = _predictions(mu1, data)
-    e = _propensities(prop, data)
+    return _aipw_scores(data, _predictions(mu0, data), _predictions(mu1, data),
+                        _propensities(prop, data))
+
+
+def _aipw_scores(data: Dataset, m0: np.ndarray, m1: np.ndarray, e: np.ndarray) -> np.ndarray:
     t = data.t.astype(float)
     return (
         m1 - m0
@@ -524,7 +633,7 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
         test_data = data.subset(np.flatnonzero(test))
         m0, m1 = [nuis.predictions(cfg, mode, umlr_route, ("fold", folds, k, arm))
                   for arm in (0, 1)]
-        e = nuis.propensity(l2, clip, (folds, k)).predict_proba(test_data.X)
+        e = nuis.propensity(l2, clip, (folds, k))
         scores[test] = aipw_scores(test_data, m0, m1, e)
 
     point = float(np.mean(scores))
@@ -617,29 +726,40 @@ def resampled_points(data: Dataset, cells, B: int, seed: int):
     generator seeded with (seed, b). Returns, per cell, the points it gave in
     resample order and its failed resamples counted by error class.
 
-    A resample is a count vector: row i enters resample b ``c[b, i]`` times.
     The cells of a registered s/t/x/aipw estimator whose learner is ridge
-    with lam > 0 are evaluated chunk by chunk (STACK_CELLS cells per stacked
-    array) as count-weighted fits, whose points equal the per-resample ones
-    up to rounding; the ridge fits of a chunk are solved in one batch on at
-    most STACK_MAX_P covariates, resample by resample on the distinct drawn
-    rows above that. Every other cell is evaluated one resample at a time on
-    the resample's rows, all of them sharing the resample's
-    :class:`Nuisances` memo, and so is every resample on which a stacked fit
-    would fail or comes near a check, so failures are counted by the
-    per-resample errors.
+    with lam > 0 run on a :class:`Nuisances` memo of a chunk of resamples
+    (STACK_CELLS cells per stacked array), whose count kernels give each
+    resample's point and status; a resample with an error status is counted
+    under its class. Every other cell is evaluated one resample at a time
+    on the resample's rows, all of them sharing the resample's memo.
     """
     check_at_least("seed", seed, 0)
     values = [[None] * B for _ in cells]  # a point, or the class of the error raised
-    for i, b, point in _stacked_points(data, cells, B, seed):
-        values[i][b] = point
-    fns = [lambda sub, memo, run=entry.run, spec=spec: run(sub, spec, memo).point
-           for entry, spec in cells]
-    for b in range(B):
-        todo = [i for i, vals in enumerate(values) if vals[b] is None]
-        if todo:
-            for i, value in zip(todo, _on_resample(data, seed, b, [fns[i] for i in todo])):
-                values[i][b] = value
+    stacked = [i for i, (entry, spec) in enumerate(cells) if entry.run in _STACKED
+               and spec.learner.kind == "ridge" and spec.learner.lam > 0]
+    if stacked:
+        # a batched ridge solve or a propensity fit stacks (k, p + 2, n) arrays;
+        # above STACK_MAX_P the ridge cells hold about ten (k, n) arrays at once
+        props = any(cells[i][0].run in (_run_x, _run_aipw) for i in stacked)
+        width = data.p + 2 if data.p <= STACK_MAX_P or props else 10
+        chunks = -(-B // max(1, STACK_CELLS // (data.n * width)))
+        size = -(-B // chunks)  # chunks of even size
+        for lo in range(0, B, size):
+            bs = range(lo, min(B, lo + size))
+            memo = Nuisances(data, np.array(
+                [np.bincount(_draw(data.n, seed, b), minlength=data.n) for b in bs], dtype=float))
+            for i in stacked:
+                memo.status = _ok(len(bs))
+                with np.errstate(all="ignore"):  # a failed resample may divide by 0
+                    points = cells[i][0].run(data, cells[i][1], memo).point
+                for b, point, error in zip(bs, points.tolist(), memo.status):
+                    values[i][b] = point if error is None else type(error).__name__
+    others = [i for i in range(len(cells)) if i not in stacked]
+    fns = [lambda sub, memo, run=cells[i][0].run, spec=cells[i][1]: run(sub, spec, memo).point
+           for i in others]
+    for b in range(B if others else 0):
+        for i, value in zip(others, _on_resample(data, seed, b, fns)):
+            values[i][b] = value
     return ([[v for v in vals if isinstance(v, float)] for vals in values],
             [Counter(v for v in vals if isinstance(v, str)) for vals in values])
 
@@ -734,28 +854,6 @@ class Estimator:
     analytic_interval: bool = False
 
 
-def _run_s(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
-    return s_learner(data, spec.learner, spec.mode, spec.umlr_route, diagnostics, nuis)[1]
-
-
-def _run_t(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
-    return t_learner(data, spec.learner, spec.mode, spec.umlr_route, diagnostics, nuis)[2]
-
-
-def _run_x(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
-    return x_learner(data, spec.learner, spec.mode,
-                     nuis.propensity(spec.propensity_l2, spec.clip),
-                     spec.umlr_route, diagnostics, nuis)
-
-
-def _run_aipw(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
-    _check_arms(nuis, spec.learner)
-    mu0, mu1 = [nuis.predictions(spec.learner, spec.mode, spec.umlr_route, ("arm", arm))
-                for arm in (0, 1)]
-    return aipw(data, mu0, mu1, nuis.propensity(spec.propensity_l2, spec.clip),
-                mode=spec.mode)
-
-
 def _run_dml(data: Dataset, spec: EstimatorSpec, nuis: Nuisances, diagnostics=False):
     return dml(data, spec.learner, spec.mode, folds=spec.folds, l2=spec.propensity_l2,
                clip=spec.clip, level=spec.level, umlr_route=spec.umlr_route, nuis=nuis)
@@ -776,226 +874,5 @@ ESTIMATORS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# stacked bootstrap: all resamples of a dataset as count-weighted fits
-# ---------------------------------------------------------------------------
-
-def _predict(coef: np.ndarray, intercept: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Each resample's linear model (k, q), (k,) on the rows of X: (k, m)."""
-    return intercept[:, None] + (coef[:, None, :] @ X.T)[:, 0]
-
-
-def _propensity_stack(X: np.ndarray, t: np.ndarray, c: np.ndarray, l2: float):
-    """:func:`fit_propensity` on k case resamples at once, resample b drawing
-    row i ``c[b, i]`` times: the same damped Newton steps on the
-    count-weighted likelihood, one batched solve per step, each resample
-    stopping and halving its line-search step on its own. Returns theta
-    (k, p + 1), intercept first, and ok (k,): False where the per-resample
-    fit would raise, or where one of its comparisons (gradient tolerance,
-    line-search acceptance, separation) is too close for the two ways of
-    rounding to be sure to agree."""
-    k, n = c.shape
-    D = np.column_stack([np.ones(n), X])
-    q = D.shape[1]
-    pen = np.full(q, float(l2))
-    pen[0] = 0.0
-    t = t.astype(float)
-    # sums of n terms round apart far less than 1e-13 of the terms' size
-    grad_slack = 1e-13 * n * np.abs(D).max()
-
-    def objective(th, cw):
-        """The objective and the size of the terms it sums."""
-        z = (th[:, None, :] @ D.T)[:, 0]
-        soft, tz = np.logaddexp(0.0, z), t * z
-        penalty = 0.5 * _dot(th**2, pen)
-        return _dot(cw, soft - tz) + penalty, _dot(cw, soft + np.abs(tz)) + penalty
-
-    theta = np.zeros((k, q))
-    ok = ((c * t).sum(axis=1) > 0) & ((c * (1.0 - t)).sum(axis=1) > 0)
-    obj, size = objective(theta, c)
-    live = np.flatnonzero(ok)  # resamples still stepping
-    for _ in range(PROPENSITY_MAX_ITER):
-        th, cw = theta[live], c[live]
-        z = (th[:, None, :] @ D.T)[:, 0]
-        prob = _expit(z)
-        grad = ((cw * (prob - t))[:, None, :] @ D)[:, 0] + pen * th
-        gmax = np.abs(grad).max(axis=1)
-        ok[live] &= np.abs(gmax - PROPENSITY_GRAD_TOL) > grad_slack
-        done = gmax < PROPENSITY_GRAD_TOL
-        if l2 == 0.0:  # the unpenalized fit's separation test, with a margin
-            drawn = cw > 0
-            separated = (np.all(~drawn | ((2.0 * t - 1.0) * z > -1e-9), axis=1)
-                         & (np.where(drawn, np.abs(z), 0.0).max(axis=1) > 10.0 - 1e-9))
-            ok[live[done & separated]] = False
-        step_on = ~done & ok[live]
-        live, th, cw, prob, grad = live[step_on], th[step_on], cw[step_on], prob[step_on], grad[step_on]
-        if not live.size:
-            return theta, ok
-        H = (D.T * (cw * prob * (1.0 - prob))[:, None, :]) @ D + np.diag(pen)
-        step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
-        scale = np.ones(live.size)
-        search = np.arange(live.size)  # positions in live still halving
-        for _ in range(50):
-            rows = live[search]
-            cand = th[search] - scale[search, None] * step[search]
-            cand_obj, cand_size = objective(cand, cw[search])
-            bound = obj[rows] + 1e-12 * np.abs(obj[rows])
-            ok[rows] &= np.abs(cand_obj - bound) > 1e-13 * (cand_size + size[rows])
-            accept = cand_obj <= bound
-            theta[rows[accept]], obj[rows[accept]] = cand[accept], cand_obj[accept]
-            size[rows[accept]] = cand_size[accept]
-            search = search[~accept]
-            if not search.size:
-                break
-            scale[search] *= 0.5
-        ok[live[search]] = False  # no step decreased the objective: ConvergenceError
-        live = live[ok[live]]
-    ok[live] = False  # not converged within PROPENSITY_MAX_ITER steps
-    return theta, ok
-
-
-class _Stack:
-    """What :class:`Nuisances` is to one resample, for k case resamples of
-    ``data`` at once, resample b drawing row i ``c[b, i]`` times: the ridge
-    outcome fits and the propensity fits, each made once for every cell.
-
-    ``ok`` (k,) turns False for each resample on which a fit asked for would
-    raise, or comes too near one of its checks to be sure it passes; the
-    caller evaluates those resamples one by one.
-    """
-
-    def __init__(self, data: Dataset, c: np.ndarray):
-        self.data, self.c = data, c
-        self.rows = [data.arm_indices(arm) for arm in (0, 1)]
-        control, treated = (c[:, rows].sum(axis=1) for rows in self.rows)
-        self.ok = (control >= 5) & (treated >= 5)  # as _check_arms asks of ridge
-        self._memo = {}
-
-    def _get(self, key, make):
-        value = self._memo.get(key)  # no entry is None
-        if value is None:
-            value = self._memo[key] = make()
-        return value
-
-    def _training(self, part):
-        X, t, y = self.data.X, self.data.t, self.data.y
-        if part[0] == "s":
-            return _augment(X, t.astype(float)), y, self.c
-        rows = self.rows[part[1]]
-        return X[rows], y[rows], np.take(self.c, rows, axis=1)
-
-    def model(self, cfg: LearnerConfig, mode: str, umlr_route: str, part):
-        """``(coef, intercept, layer)`` of the outcome model of ``part``: the
-        plain or constrained fit, or for the anchored route the plain fit
-        with its layer ``(a, b)``, which is otherwise None."""
-        route = umlr_route if mode == "umlr" else "auto"
-
-        def make():
-            X, y, c = self._training(part)
-            if route == "anchored":
-                coef, intercept, _ = self.model(cfg, "mlr", "auto", part)
-                a, b, ok = _anchor_stack(_predict(coef, intercept, X), y, c)
-                self.ok &= ok
-                return coef, intercept, (a, b)
-            fits = self._get(("fits", cfg, part),
-                             lambda: _ridge_stack(cfg.lam, X, y, c, constrained=True))
-            coef, intercept, ok = fits[mode == "umlr"]
-            self.ok &= ok
-            return coef, intercept, None
-
-        return self._get(("model", cfg, mode, route, part), make)
-
-    def predictions(self, cfg: LearnerConfig, mode: str, umlr_route: str, arm: int):
-        """The arm model on every row, (k, n); an anchored model's are
-        ``a + b *`` the plain fit's, as in :meth:`Nuisances.predictions`."""
-        def make():
-            coef, intercept, layer = self.model(cfg, mode, umlr_route, ("arm", arm))
-            if layer is None:
-                return _predict(coef, intercept, self.data.X)
-            a, b = layer
-            return a[:, None] + b[:, None] * self.predictions(cfg, "mlr", "auto", arm)
-
-        route = umlr_route if mode == "umlr" else "auto"
-        return self._get(("pred", cfg, mode, route, arm), make)
-
-    def propensity(self, l2: float, clip) -> np.ndarray:
-        """The clipped propensity scores of every row, (k, n)."""
-        def make():
-            theta, ok = _propensity_stack(self.data.X, self.data.t, self.c, l2)
-            self.ok &= ok
-            return np.clip(_expit(_predict(theta[:, 1:], theta[:, 0], self.data.X)), *clip)
-
-        return self._get(("prop", l2, tuple(clip)), make)
-
-    def mean(self, v: np.ndarray) -> np.ndarray:
-        """Each resample's mean of per-row values v (k, n)."""
-        return _dot(self.c, v) / self.data.n
-
-
-def _arm_predictions(stack: _Stack, spec: EstimatorSpec):
-    return [stack.predictions(spec.learner, spec.mode, spec.umlr_route, arm) for arm in (0, 1)]
-
-
-def _stack_s(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
-    coef, _, layer = stack.model(spec.learner, spec.mode, spec.umlr_route, ("s",))
-    return coef[:, -1] if layer is None else layer[1] * coef[:, -1]
-
-
-def _stack_t(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
-    mu0, mu1 = _arm_predictions(stack, spec)
-    return stack.mean(mu1 - mu0)
-
-
-def _stack_x(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
-    e = stack.propensity(spec.propensity_l2, spec.clip)
-    mu0, mu1 = _arm_predictions(stack, spec)
-    X, y = stack.data.X, stack.data.y
-    control, treated = stack.rows
-    tau = []
-    for rows, d in ((control, np.take(mu1, control, axis=1) - y[control]),
-                    (treated, y[treated] - np.take(mu0, treated, axis=1))):
-        (coef, intercept, ok), = _ridge_stack(spec.learner.lam, X[rows], d,
-                                              np.take(stack.c, rows, axis=1))
-        stack.ok &= ok
-        tau.append(_predict(coef, intercept, X))
-    return stack.mean(e * tau[0] + (1.0 - e) * tau[1])
-
-
-def _stack_aipw(stack: _Stack, spec: EstimatorSpec) -> np.ndarray:
-    mu0, mu1 = _arm_predictions(stack, spec)
-    e = stack.propensity(spec.propensity_l2, spec.clip)
-    t, y = stack.data.t.astype(float), stack.data.y
-    return stack.mean(mu1 - mu0 + t * (y - mu1) / e - (1.0 - t) * (y - mu0) / (1.0 - e))
-
-
-# keyed by the run each mirrors, so an entry whose run is swapped is not stacked
-_STACKED = {_run_s: _stack_s, _run_t: _stack_t, _run_x: _stack_x, _run_aipw: _stack_aipw}
-
-
-def _stacked_points(data: Dataset, cells, B: int, seed: int):
-    """Yield ``(cell index, b, point)`` for each stackable cell and each
-    resample b that no stacked check flagged, chunk by chunk; a chunk whose
-    batched solve raises yields nothing."""
-    stacked = [i for i, (entry, spec) in enumerate(cells) if entry.run in _STACKED
-               and spec.learner.kind == "ridge" and spec.learner.lam > 0]
-    if not stacked:
-        return
-    # a batched ridge solve or a propensity fit stacks (k, p + 2, n) arrays;
-    # above STACK_MAX_P the ridge cells hold about ten (k, n) arrays at once
-    props = any(cells[i][0].run in (_run_x, _run_aipw) for i in stacked)
-    width = data.p + 2 if data.p <= STACK_MAX_P or props else 10
-    chunks = -(-B // max(1, STACK_CELLS // (data.n * width)))
-    size = -(-B // chunks)  # chunks of even size
-    for lo in range(0, B, size):
-        bs = range(lo, min(B, lo + size))
-        counts = np.array([np.bincount(_draw(data.n, seed, b), minlength=data.n) for b in bs],
-                          dtype=float)
-        try:
-            with np.errstate(all="ignore"):  # a flagged resample may divide by 0
-                stack = _Stack(data, counts)
-                points = [_STACKED[cells[i][0].run](stack, cells[i][1]) for i in stacked]
-        except np.linalg.LinAlgError:
-            continue
-        for j in np.flatnonzero(stack.ok):
-            for i, pts in zip(stacked, points):
-                yield i, bs[j], float(pts[j])
+# the runs that take a memo of case resamples
+_STACKED = {_run_s, _run_t, _run_x, _run_aipw}

@@ -18,6 +18,11 @@ sweep); tree ensembles are anchored after the fact with an exact two-parameter
 affine layer a + b * f(x), which satisfies both constraints and counteracts
 linear shrinkage by inflating the calibration slope.
 
+The ridge solve, the 2x2 anchoring solve and the propensity Newton loop of
+:mod:`umlr.estimators` each have one implementation, a count kernel that
+fits k case resamples of the rows given at once; a single-dataset fit is its
+kernel at k = 1 with unit counts, and raises the error the kernel reports.
+
 Penalty conventions (intercept never penalized):
 
     ridge:  sum_i (y_i - a - x_i'b)^2 + lam * ||b||^2
@@ -29,12 +34,14 @@ so the lasso null threshold is lam_max = max_j |X_j'(y - ybar)| / n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import SplitIndices, partition_by_mean
+from .core import partition_by_mean
 from .errors import (
     ConvergenceError,
+    DegeneratePartitionError,
     InvalidInputError,
     RecalibrationSingularError,
     SingularSystemError,
@@ -56,15 +63,12 @@ LASSO_COEF_TOL = 1e-7
 LASSO_MAX_SWEEPS = 10_000
 RIDGE_RESID_TOL = 1e-10
 ANCHOR_DET_TOL = 1e-12  # x the scale of the 2x2 anchoring system
-# A stacked fit flags a resample whose check value comes within this factor
-# of its threshold: those values are rounding noise, which the stacked and
-# the per-resample arithmetic round apart.
-STACK_CHECK_MARGIN = 1e-2
 # Designs of at most this many columns solve the ridge fits of all stacked
 # resamples in one batch; wider ones fit each resample on its distinct rows.
 STACK_MAX_P = 32
 _INFEASIBLE = ("anchoring constraints infeasible: the below-mean group "
                "has the covariate means of the whole sample")
+_EMPTY = "an anchoring group of the resample is empty; cannot form two anchoring groups"
 
 _KINDS = ("ridge", "lasso", "gbt")
 
@@ -205,51 +209,16 @@ def _validate_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray,
-               split: SplitIndices | None = None) -> FittedModel:
-    """Plain ridge, or with ``split`` ridge under both anchoring constraints.
-
-    The constrained fit moves the plain solution along w = G^-1 u, a second
-    column of the same solve, until u'b = s holds (see fit_constrained_linear).
-    """
-    n, p = X.shape
-    x_mean = X.mean(axis=0)
-    y_mean = y.mean()
-    Xc = X - x_mean
-    yc = y - y_mean
-    # with split, a second column: the indicator of r1, so that Xc' 1_r1 = u
-    target = yc if split is None else np.column_stack([yc, np.bincount(split.r1, minlength=n)])
-    rhs = Xc.T @ target
-    if config.lam == 0.0:
-        sol, _, rank, _ = np.linalg.lstsq(Xc, target, rcond=None)
-        if rank < p:
-            raise SingularSystemError(
-                "design is rank-deficient and lam = 0; increase lam or drop columns"
-            )
-    else:
-        G = Xc.T @ Xc + config.lam * np.eye(p)
-        try:
-            sol = np.linalg.solve(G, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        fitted = G @ sol
-        scale = max(np.linalg.norm(rhs), np.linalg.norm(fitted), 1e-300)
-        if not np.linalg.norm(fitted - rhs) <= RIDGE_RESID_TOL * scale:  # nan fails
-            raise SingularSystemError("penalized normal equations solved inaccurately")
-    if split is None:
-        return FittedModel(config=config, p=p, coef=sol,
-                           intercept=float(y_mean - x_mean @ sol))
-    (coef, w), u = sol.T, rhs[:, 1]
-    uw = u @ w
-    if not uw > 0.0:  # u = 0, so u'b = s < 0 has no solution
-        raise SingularSystemError(_INFEASIBLE)
-    coef = coef - w * ((u @ coef - yc[split.r1].sum()) / uw)
-    intercept = float(y_mean - x_mean @ coef)
-    sums = _group_sums(split, intercept + X @ coef, y)
-    tol = LINEAR_GROUP_TOL * n * max(float(np.sqrt(yc @ yc / n)), 1e-300)  # sd(y), cheaply
-    if not (abs(sums[0]) <= tol and abs(sums[1]) <= tol):
-        raise SingularSystemError("constrained ridge solution violates the anchoring constraints")
-    return FittedModel(config=config, p=p, coef=coef, intercept=intercept,
-                       group_residual_sums=sums, group_tol=tol)
+               below: np.ndarray | None = None) -> FittedModel:
+    """Plain ridge, or given the mask ``below`` of r1 ridge under both
+    anchoring constraints: :func:`_ridge_kernel` at k = 1."""
+    below = None if below is None else below[None]
+    fits = _ridge_kernel(config.lam, X, y, np.ones((1, len(y))), below)[-1]
+    _raise(fits.status)
+    anchoring = {} if below is None else {"group_residual_sums": tuple(fits.sums[:, 0].tolist()),
+                                          "group_tol": float(fits.tol[0])}
+    return FittedModel(config=config, p=X.shape[1], coef=fits.coef[0],
+                       intercept=float(fits.intercept[0]), **anchoring)
 
 
 def _soft_threshold(z: float, lam: float) -> float:
@@ -424,25 +393,11 @@ def fit(config: LearnerConfig, X, y) -> FittedModel:
 # anchoring constraints
 # ---------------------------------------------------------------------------
 
-def _group_sums(split: SplitIndices, pred: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    resid = pred - y
-    return float(resid[split.r1].sum()), float(resid[split.r2].sum())
-
-
-def _solve_anchor(split: SplitIndices, base_pred: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Exact 2x2 anchoring system: n_g*a + b*sum_g(pred) = sum_g(y)."""
-    n1, n2 = split.r1.size, split.r2.size
-    s1p, s2p = base_pred[split.r1].sum(), base_pred[split.r2].sum()
-    s1y, s2y = y[split.r1].sum(), y[split.r2].sum()
-    det = n1 * s2p - n2 * s1p
-    scale = max(abs(n1 * s2p), abs(n2 * s1p), n1 * n2 * float(np.std(y)), 1e-300)
-    if abs(det) <= ANCHOR_DET_TOL * scale:
-        raise RecalibrationSingularError(
-            "base predictions have equal means in both groups; anchoring system singular"
-        )
-    b = (n1 * s2y - n2 * s1y) / det
-    a = (s1y - b * s1p) / n1
-    return float(a), float(b)
+def _below(y: np.ndarray) -> np.ndarray:
+    """The mask of the group r1 of :func:`partition_by_mean`'s split of y."""
+    below = np.zeros(y.shape[0], dtype=bool)
+    below[partition_by_mean(y).r1] = True
+    return below
 
 
 def anchor_recalibrate(base: FittedModel, X_train, y_train) -> FittedModel:
@@ -462,16 +417,16 @@ def anchor_recalibrate(base: FittedModel, X_train, y_train) -> FittedModel:
 
 def _anchor(base: FittedModel, raw: np.ndarray, y: np.ndarray) -> FittedModel:
     """:func:`anchor_recalibrate` given ``raw``, the plain predictions of
-    ``base`` at the training rows of the outcome ``y``."""
-    split = partition_by_mean(y)
-    a, b = _solve_anchor(split, raw, y)
-    sums = _group_sums(split, a + b * raw, y)
+    ``base`` at the training rows of ``y``: :func:`_anchor_kernel` at k = 1."""
     tol_scale = GBT_GROUP_TOL if base.trees is not None else LINEAR_GROUP_TOL
-    tol = tol_scale * y.shape[0] * max(float(np.std(y)), 1e-300)
-    return replace(base, anchor=(a, b), group_residual_sums=sums, group_tol=tol)
+    a, b, sums, tol, status = _anchor_kernel(raw[None], y, np.ones((1, y.shape[0])),
+                                             _below(y)[None], tol_scale)
+    _raise(status)
+    return replace(base, anchor=(float(a[0]), float(b[0])),
+                   group_residual_sums=tuple(sums[:, 0].tolist()), group_tol=float(tol[0]))
 
 
-def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
+def _fit_constrained_lasso(config, X, y, below) -> FittedModel:
     """Coordinate descent on the l1-penalized loss augmented with a multiplier
     and a quadratic term for the centred constraint m'b = c (m = u / n1,
     c = s / n1), finished by one exact affine projection so feasibility holds
@@ -485,15 +440,16 @@ def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
     the cycle while keeping every update a soft-threshold step.
     """
     n, p = X.shape
-    n1, n2 = split.r1.size, split.r2.size
+    n1 = int(np.count_nonzero(below))
+    n2 = n - n1
     start = _fit_lasso(config, X, y)  # warm start, before the design is copied
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     A = np.empty((n + 1, p))  # centred design, then the multiplier row
     Xc = np.subtract(X, x_mean, out=A[:n])
     yc = y - y_mean
-    m = Xc[split.r1].mean(axis=0)
-    c = float(yc[split.r1].mean())
+    m = Xc[below].mean(axis=0)
+    c = float(yc[below].mean())
     if not np.any(m):  # m'b = c < 0 has no solution
         raise SingularSystemError(_INFEASIBLE)
     cols = list(A.T)
@@ -527,12 +483,14 @@ def _fit_constrained_lasso(config, X, y, split) -> FittedModel:
 
     coef = np.asarray(coef)
     intercept = y_mean - x_mean @ coef
-    a, b = _solve_anchor(split, intercept + X @ coef, y)  # exact feasibility finish
-    intercept = float(a + b * intercept)
-    coef = b * coef
-    sums = _group_sums(split, intercept + X @ coef, y)
+    a, b, _, _, status = _anchor_kernel((intercept + X @ coef)[None], y, np.ones((1, n)),
+                                        below[None], LINEAR_GROUP_TOL)  # exact feasibility finish
+    _raise(status)
+    intercept = float(a[0] + b[0] * intercept)
+    coef = b[0] * coef
+    sums = _group_sums((intercept + X @ coef - y)[None], below[None])[:, 0]
     return FittedModel(config=config, p=p, coef=coef, intercept=intercept,
-                       group_residual_sums=sums, group_tol=tol)
+                       group_residual_sums=tuple(sums.tolist()), group_tol=tol)
 
 
 def fit_constrained_linear(config: LearnerConfig, X, y) -> FittedModel:
@@ -552,162 +510,188 @@ def fit_constrained_linear(config: LearnerConfig, X, y) -> FittedModel:
         raise InvalidInputError("constrained fitting applies to linear kinds; use "
                                 "anchor_recalibrate for gbt")
     X, y = _validate_xy(X, y)
-    split = partition_by_mean(y)
+    below = _below(y)
     if config.kind == "ridge":
-        return _fit_ridge(config, X, y, split)
-    return _fit_constrained_lasso(config, X, y, split)
+        return _fit_ridge(config, X, y, below)
+    return _fit_constrained_lasso(config, X, y, below)
 
 
 # ---------------------------------------------------------------------------
-# stacked fits: one design under many case resamples
+# count kernels: the fits of one design under k case resamples at once
 # ---------------------------------------------------------------------------
+# Resample b draws row i c[b, i] times. Each operation acts on each
+# resample's row alone, so no number depends on what is stacked with it, and
+# at k = 1 with unit counts the numbers are those of the single-dataset fit.
+# A kernel returns each resample's status: None or the error its fit raises.
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of a (k, n) with b (k, n) or (n,), one BLAS dot
-    per row, so a row's sum is ordered alike whatever is stacked with it;
-    numpy's axis reductions order it by the stack's memory layout."""
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+class _Fits(NamedTuple):
+    """Linear fits of k resamples, with an anchored fit's layer (a, b) as
+    (k, 1) columns, or a constrained fit's group residual sums (2, k) and
+    tolerances (k,)."""
+
+    coef: np.ndarray  # (k, q)
+    intercept: np.ndarray  # (k,)
+    status: np.ndarray  # (k,)
+    anchor: tuple[np.ndarray, np.ndarray] | None = None
+    sums: np.ndarray | None = None
+    tol: np.ndarray | None = None
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        out = self.intercept[:, None] + np.matvec(X, self.coef)  # (k, m)
+        return out if self.anchor is None else self.anchor[0] + self.anchor[1] * out
 
 
-def _stack_split(y: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`partition_by_mean` split of each of k resamples, resample b
-    drawing row i ``c[b, i]`` times: ``below`` (k, n) marks r1, and ``ok``
-    (k,) is False where a group is empty or a drawn y_i lies within rounding
-    of the mean, where the per-resample split may fall either way."""
-    m = c.sum(axis=1)  # counts: exact in any order
-    gap = y - (_dot(c, y) / m)[:, None]
-    below = gap <= 0.0
-    m1 = (c * below).sum(axis=1)
-    tie = (c > 0) & (np.abs(gap) <= 1e-12 * np.abs(y).max())
-    return below, (m1 > 0) & (m1 < m) & ~tie.any(axis=1)
+def _ok(k) -> np.ndarray:
+    return np.empty(k, dtype=object)  # all None
 
 
-def _ridge_stack(lam: float, X: np.ndarray, y: np.ndarray, c: np.ndarray,
-                 constrained: bool = False):
-    """Ridge fits of one design under k case resamples at once, resample b
-    drawing row i ``c[b, i]`` times: each is the count-weighted form of the
-    :func:`_fit_ridge` fit of the resample's rows, equal up to rounding.
-    ``y`` is (n,) or one outcome per resample (k, n); ``lam`` must be > 0.
+def _fail(status: np.ndarray, bad: np.ndarray, error: type, message: str) -> None:
+    """Record ``error(message)`` for each resample in ``bad`` that has not
+    failed yet."""
+    if np.logical_or.reduce(bad, axis=None):
+        status[bad & np.equal(status, None)] = error(message)
 
-    Up to STACK_MAX_P columns the k fits are solved in one batch
-    (:func:`_solve_stacked`), above it one by one (:func:`_solve_distinct`).
-    Returns ``(coef (k, q), intercept (k,), ok (k,))`` for the plain fit
-    and, if ``constrained``, for the umlr fit, u riding as a second column
-    of the solve; ``ok`` is False where :func:`_fit_ridge` would raise or a
-    check comes within STACK_CHECK_MARGIN of failing. Every operation acts
-    on each resample's C-ordered row alone, so its numbers do not depend on
-    what is stacked with it.
-    """
+
+def _merge(status: np.ndarray, other: np.ndarray) -> None:
+    """Record the errors of the status ``other`` where ``status`` has none."""
+    if any(other):
+        new = np.equal(status, None) & np.not_equal(other, None)
+        status[new] = other[new]
+
+
+def _raise(status: np.ndarray) -> None:
+    if status[0] is not None:
+        raise status[0]
+
+
+def _solve(A: np.ndarray, B: np.ndarray):
+    """Each stacked system A x = B on its own, and the mask of those LAPACK
+    finds singular (None when there are none)."""
+    try:
+        return np.linalg.solve(A, B), None
+    except np.linalg.LinAlgError:
+        x, singular = np.full(B.shape, np.nan), np.zeros(len(A), dtype=bool)
+        for b in range(len(A)):
+            try:
+                x[b] = np.linalg.solve(A[b], B[b])
+            except np.linalg.LinAlgError:
+                singular[b] = True
+        return x, singular
+
+
+def _normal_solve(lam, X, c, m, V, dual):
+    """Each resample centred at its means, its rows scaled by sqrt(c) into
+    Zw (V (k, columns, n) into Vw), rhs = Vw Zw: the solution s (k, q,
+    columns) of (Zw'Zw + lam I) s = rhs', or in the dual s = Zw'a with
+    (Zw Zw' + lam I) a = Vw' (its residual r bounds the primal one by
+    ||Zw||_F ||r||), or least squares at lam = 0; with the means of X, rhs
+    and each column's status."""
+    k, q = len(c), X.shape[1]
+    x_sum = (X[:, :, None] * np.ascontiguousarray(c.T)[:, None, :]).sum(axis=0)  # rows in order
+    x_mean = np.ascontiguousarray(x_sum.T) / m[:, None]
+    root = np.sqrt(c)
+    Zw = X - x_mean[:, None, :]
+    Zw *= root[:, :, None]
+    if dual:  # centred, Vw is orthogonal to sqrt(c), the null vector of Zw Zw'
+        V = V - (np.vecdot(V, c[:, None, :]) / m[:, None])[:, :, None]
+    Vw = V * root[:, None, :]
+    rhs = Vw @ Zw
+    status = _ok(V.shape[:2])
+    if lam == 0.0:
+        sol = np.empty((k, q, V.shape[1]))
+        for b in range(k):
+            sol[b], _, rank, _ = np.linalg.lstsq(Zw[b], Vw[b].T, rcond=None)
+            if rank < q:
+                status[b] = SingularSystemError(
+                    "design is rank-deficient and lam = 0; increase lam or drop columns")
+        return x_mean, rhs, sol, status
+    ZwT = np.swapaxes(Zw, 1, 2)
+    A, B = (Zw @ ZwT, np.swapaxes(Vw, 1, 2)) if dual else (ZwT @ Zw, np.swapaxes(rhs, 1, 2))
+    norm2 = np.trace(A, axis1=1, axis2=2)[:, None] if dual else 1.0  # ||Zw||_F^2
+    A.reshape(k, -1)[:, ::A.shape[1] + 1] += lam
+    a, singular = _solve(A, B)
+    if singular is not None:
+        _fail(status, singular[:, None], SingularSystemError, "Singular matrix")
+    r = A @ a - B
+    resid = np.vecdot(r, r, axis=1) * norm2
+    _fail(status, ~(resid <= RIDGE_RESID_TOL**2 * np.maximum(np.vecdot(rhs, rhs), 1e-300)),
+          SingularSystemError, "penalized normal equations solved inaccurately")  # nan fails
+    return x_mean, rhs, ZwT @ a if dual else a, status
+
+
+@np.errstate(all="ignore")
+def _ridge_kernel(lam: float, X: np.ndarray, y: np.ndarray, c: np.ndarray,
+                  below: np.ndarray | None = None) -> list[_Fits]:
+    """Ridge fits of X (n, q) to y, (n,) or (k, n), under the resamples c:
+    ``[plain]``, or given each resample's group r1 ``below`` (k, n), ``[plain,
+    under both anchoring constraints]``. Up to STACK_MAX_P columns the k are
+    solved in one batch, above it each on its d drawn rows, in the dual when
+    d < q. The constrained fit moves the plain one along w, the solution for
+    the r1 indicator, until u'b = s (see :func:`fit_constrained_linear`)."""
     c, y = np.ascontiguousarray(c), np.ascontiguousarray(y)  # rows laid out alike for any k
-    m = c.sum(axis=1)
-    y_mean = _dot(c, y) / m
+    m = c.sum(axis=1)  # counts: exact in any order
+    y_mean = (c * y).sum(axis=1) / m
     yc = y - y_mean[:, None]
-    if constrained:
-        below, split_ok = _stack_split(y, c)
-    V = np.stack([yc, below] if constrained else [yc], axis=1)  # (k, columns, n)
-    solve = _solve_stacked if X.shape[1] <= STACK_MAX_P else _solve_distinct
-    x_mean, rhs, sol, col_ok, u_size = solve(lam, X, c, m, V)
+    V = yc[:, None, :] if below is None else np.concatenate([yc[:, None, :], below[:, None, :]], 1)
+    if X.shape[1] <= STACK_MAX_P:
+        x_mean, rhs, sol, status = _normal_solve(lam, X, c, m, V, False)
+    else:
+        x_mean, rhs, sol, status = map(np.concatenate, zip(*(
+            _normal_solve(lam, X[d], cb[None, d], mb[None], vb[None, :, d], d.size < X.shape[1])
+            for cb, mb, vb in zip(c, m, V) for d in [np.flatnonzero(cb)])))
     coef = sol[:, :, 0]
-    fits = [(coef, y_mean - _dot(x_mean, coef), col_ok[:, 0])]
-    if constrained:
-        u, w, r1 = rhs[:, :, 1], sol[:, :, 1], c * below
-        uw = _dot(u, w)
-        coef = coef - w * ((_dot(u, coef) - _dot(r1, yc)) / uw)[:, None]
-        intercept = y_mean - _dot(x_mean, coef)
-        resid = intercept[:, None] + (coef[:, None, :] @ X.T)[:, 0] - y
-        sums = np.stack([_dot(r1, resid), _dot(c - r1, resid)])
-        tol = LINEAR_GROUP_TOL * m * np.maximum(np.sqrt(_dot(c, yc * yc) / m), 1e-300)
-        # a u of rounding size may be exactly 0 per resample, and infeasible
-        ok = (split_ok & col_ok.all(axis=1) & (uw > 0.0)
-              & (np.abs(u) > 1e-12 * u_size).any(axis=1)
-              & (np.abs(sums) <= STACK_CHECK_MARGIN * tol).all(axis=0))
-        fits.append((coef, intercept, ok))
-    return fits
+    fits = [_Fits(coef, y_mean - np.vecdot(x_mean, coef), status[:, 0])]
+    if below is None:
+        return fits
+    st, c1 = _ok(len(c)), c * below
+    n1 = c1.sum(axis=1)
+    _fail(st, (n1 == 0) | (n1 == m), DegeneratePartitionError, _EMPTY)
+    _merge(st, status[:, 0])
+    _merge(st, status[:, 1])
+    u, w = rhs[:, 1], sol[:, :, 1]
+    uw = np.vecdot(u, w)
+    _fail(st, ~(uw > 0.0), SingularSystemError, _INFEASIBLE)  # u = 0: u'b = s < 0 has no solution
+    coef = coef - w * ((np.vecdot(u, coef) - np.vecdot(c1, yc)) / uw)[:, None]
+    fit = _Fits(coef, y_mean - np.vecdot(x_mean, coef), st)
+    resid = fit.predict(X) - y
+    sums = np.array([np.vecdot(c1, resid), np.vecdot(c - c1, resid)])
+    tol = LINEAR_GROUP_TOL * m * np.maximum(np.sqrt(np.vecdot(c * yc, yc) / m), 1e-300)  # sd(y)
+    _fail(st, ~(np.abs(sums) <= tol).all(axis=0),
+          SingularSystemError, "constrained ridge solution violates the anchoring constraints")
+    return fits + [fit._replace(sums=sums, tol=tol)]
 
 
-def _solve_stacked(lam, X, c, m, V):
-    """:func:`_ridge_stack`'s batched solve: the resample means of X, the
-    right-hand sides and solutions (k, q, columns), the residual flags and
-    the size of the sum that makes u. The centred Gram matrices are second
-    moments about the full-data mean, sum_i c_i z_i z_i' - m zbar zbar' with
-    z = x - mean(x); the resample means zbar lie near 0, so little cancels.
-    """
-    q = X.shape[1]
-    Z = X - X.mean(axis=0)
-    zbar = (c[:, None, :] @ Z)[:, 0] / m[:, None]
-    W = c[:, None, :] * V
-    rhs = np.swapaxes(W @ Z, 1, 2)  # (k, q, columns)
-    u_size = None
-    if V.shape[1] > 1:  # u = sum_{r1} c_i (z_i - zbar)
-        r1 = W[:, 1]
-        rhs[:, :, 1] -= r1.sum(axis=1)[:, None] * zbar
-        u_size = (r1[:, None, :] @ np.abs(Z))[:, 0] + r1.sum(axis=1)[:, None] * np.abs(zbar)
-    G = (Z.T * c[:, None, :]) @ Z  # (k, q, n) weighted rows: O(k n q) memory
-    G -= m[:, None, None] * zbar[:, :, None] * zbar[:, None, :]
-    G += lam * np.eye(q)
-    sol = np.linalg.solve(G, rhs)
-    fitted = G @ sol
-    scale = np.maximum(np.maximum(np.linalg.norm(rhs, axis=1), np.linalg.norm(fitted, axis=1)),
-                       1e-300)
-    # per column at the margin, which implies _fit_ridge's check on the pair
-    col_ok = np.linalg.norm(fitted - rhs, axis=1) <= STACK_CHECK_MARGIN * RIDGE_RESID_TOL * scale
-    return X.mean(axis=0) + zbar, rhs, sol, col_ok, u_size
+def _group_sums(v: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """(2, k): each row of v (k, n) summed over its r1 and its r2 entries in
+    row order, as ``v[r1].sum()`` sums."""
+    return np.array([(vb[mb].sum(), vb[~mb].sum()) for vb, mb in zip(v, below)]).T
 
 
-def _solve_distinct(lam, X, c, m, V):
-    """:func:`_solve_stacked`'s results, resample by resample on the d rows
-    drawn, centred at the resample mean and scaled by sqrt(c) into Zw (V
-    into Vw): rhs = Zw'Vw, solved in the primal (Zw'Zw + lam I) s = rhs or,
-    as Zw'a, the dual (Zw Zw' + lam I) a = Vw, whichever is smaller. A dual
-    residual r bounds the primal one by ||Zw||_F ||r||, and ||Zw||_F
-    ||Vw[:, 1]|| bounds the size of the sum making each entry of u, so flags
-    on these bounds are no looser than on the values bounded.
-    """
-    out = []
-    for cb, mb, vb in zip(c, m, V):
-        d = np.flatnonzero(cb)
-        root = np.sqrt(cb[d])[:, None]
-        Zw = X[d]
-        x_mean = cb[d] @ Zw / mb
-        Zw -= x_mean
-        Zw *= root
-        vd = vb[:, d]  # centred: rhs is kept, Vw is orthogonal to Zw Zw''s null vector sqrt(c)
-        Vw = root * (vd - (vd @ cb[d] / mb)[:, None]).T
-        rhs = Zw.T @ Vw
-        dual = d.size < X.shape[1]
-        A, B = (Zw @ Zw.T, Vw) if dual else (Zw.T @ Zw, rhs)
-        norm = np.sqrt(A.trace())  # ||Zw||_F
-        A.reshape(-1)[::A.shape[0] + 1] += lam
-        a = np.linalg.solve(A, B)
-        resid = np.linalg.norm(A @ a - B, axis=0) * (norm if dual else 1.0)
-        out.append((x_mean, rhs, Zw.T @ a if dual else a, resid,
-                    norm * np.linalg.norm(Vw[:, -1:], axis=0)))
-    x_mean, rhs, sol, resid, u_size = map(np.stack, zip(*out))
-    scale = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
-    return x_mean, rhs, sol, resid <= STACK_CHECK_MARGIN * RIDGE_RESID_TOL * scale, u_size
-
-
-def _anchor_stack(raw: np.ndarray, y: np.ndarray, c: np.ndarray):
-    """The :func:`anchor_recalibrate` layers ``(a, b)``, each (k,), of plain
-    linear fits whose training predictions under k case resamples are ``raw``
-    (k, n), with ``ok`` (k,) as in :func:`_ridge_stack`."""
-    raw, c = np.ascontiguousarray(raw), np.ascontiguousarray(c)
-    below, ok = _stack_split(y, c)
-    c1 = c * below
-    c2 = c - c1
-    n1, n2 = c1.sum(axis=1), c2.sum(axis=1)
-    s1p, s2p = _dot(c1, raw), _dot(c2, raw)
-    s1y, s2y = _dot(c1, y), _dot(c2, y)
-    m = n1 + n2
-    sd = np.sqrt(_dot(c, (y - ((s1y + s2y) / m)[:, None]) ** 2) / m)
+@np.errstate(all="ignore")
+def _anchor_kernel(raw: np.ndarray, y: np.ndarray, c: np.ndarray, below: np.ndarray,
+                   tol_scale: float):
+    """The 2x2 anchoring system n_g a + b sum_g(raw) = sum_g(y) of the
+    predictions raw (k, n) of y (n,) under the resamples c, groups r1
+    ``below``: a and b (k,), the group residual sums (2, k), their
+    tolerances tol_scale * n * sd(y), and the status. Groups sum in row
+    order, so at k = 1 the layer is the one anchor_recalibrate always had."""
+    c, raw = np.ascontiguousarray(c), np.ascontiguousarray(raw)  # rows laid out alike for any k
+    status, m = _ok(len(c)), c.sum(axis=1)
+    n1 = (c * below).sum(axis=1)
+    n2 = m - n1
+    _fail(status, (n1 == 0) | (n2 == 0), DegeneratePartitionError, _EMPTY)
+    (s1p, s2p), (s1y, s2y) = _group_sums(c * raw, below), _group_sums(c * y, below)
+    gap = y - ((c * y).sum(axis=1) / m)[:, None]
+    sd = np.sqrt((c * (gap * gap)).sum(axis=1) / m)
     det = n1 * s2p - n2 * s1p
     scale = np.maximum(np.maximum(np.abs(n1 * s2p), np.abs(n2 * s1p)),
                        np.maximum(n1 * n2 * sd, 1e-300))
+    _fail(status, np.abs(det) <= ANCHOR_DET_TOL * scale, RecalibrationSingularError,
+          "base predictions have equal means in both groups; anchoring system singular")
     b = (n1 * s2y - n2 * s1y) / det
     a = (s1y - b * s1p) / n1
-    resid = a[:, None] + b[:, None] * raw - y
-    sums = np.stack([_dot(c1, resid), _dot(c2, resid)])
-    tol = LINEAR_GROUP_TOL * m * np.maximum(sd, 1e-300)
-    ok &= ((STACK_CHECK_MARGIN * np.abs(det) > ANCHOR_DET_TOL * scale)
-           & (np.abs(sums) <= STACK_CHECK_MARGIN * tol).all(axis=0))
-    return a, b, ok
+    sums = _group_sums(c * (a[:, None] + b[:, None] * raw - y), below)
+    tol = tol_scale * m * np.maximum(sd, 1e-300)
+    _fail(status, ~(np.abs(sums) <= tol).all(axis=0),  # nan fails
+          InvalidInputError, "anchoring constraints violated by the affine layer")
+    return a, b, sums, tol, status

@@ -294,16 +294,15 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     point estimates and in the bootstrap refits alike.
 
     Bootstrapped cells are paired as ``umlr estimate`` pairs its rows: all
-    those of a replicate draw one resample stream, the one of the first
-    bootstrapped cell in ``scenario``, and
-    :func:`~umlr.estimators.resampled_points` evaluates them together, so
-    cells that ask for the same arm or propensity fit of a resample get one
-    fit. Ridge cells are evaluated as count-weighted fits, stacked over
-    resamples; the others resample by resample, sharing one
-    :class:`~umlr.estimators.Nuisances` memo per resample. A cell that fails
-    on a resample loses only its own point, each cell's interval is refused
-    on its own, and its record's ``n_boot_failed`` counts the resamples it
-    lost (None when the cell is not bootstrapped).
+    those of a replicate draw the resample stream of the first bootstrapped
+    cell in ``scenario``, and :func:`~umlr.estimators.resampled_points`
+    evaluates them together on one memo, so cells that ask for the same arm
+    or propensity fit of a resample get one fit: ridge s/t/x/aipw cells a
+    chunk of resamples at a time through the count kernels, the others one
+    resample at a time. A cell that fails on a resample loses only its own
+    point, each cell's interval is refused on its own, and its record's
+    ``n_boot_failed`` counts the resamples it lost (None when the cell is
+    not bootstrapped).
 
     Intervals default to the normal-approximation bootstrap
     (``ci_method="normal"``): regularized fits grow extra shrinkage bias

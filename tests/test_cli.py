@@ -357,6 +357,25 @@ class TestSimulateCommand:
         rows = json.loads(out.read_text())["results"]
         assert [(r["estimator"], r["mode"]) for r in rows] == [("psm_att", "mlr")]
 
+    def test_lost_resamples_are_reported(self, tmp_path):
+        # 20 units with a strong propensity leave one arm small, so some
+        # resamples draw fewer than 5 of its units; records count them
+        out, csv_path = tmp_path / "r.json", tmp_path / "reps.csv"
+        rc = main(["simulate", "--n", "20", "--p", "2", "--s", "1", "--reps", "10",
+                   "--bootstrap", "50", "--estimator", "t", "--mode", "both",
+                   "--gamma-scale", "3.0", "--seed", "2", "--out", str(out),
+                   "--per-replicate", str(csv_path)])
+        assert rc == 0
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        expected = []
+        for mode in ("mlr", "umlr"):
+            lost = [int(r[7]) for r in rows if r[2] == mode and r[7]]
+            assert sum(lost) > 0
+            expected.append(f"t_learner/{mode}: {sum(lost)} of {len(lost) * 50} "
+                            "bootstrap resamples failed")
+        warnings = json.loads(out.read_text())["warnings"]
+        assert [w for w in warnings if "bootstrap resamples" in w] == expected
+
     def test_non_integer_workers_env_exits_3(self, tmp_path):
         r = run_cli(["simulate", "--n", "100", "--p", "4", "--s", "2", "--reps", "10",
                      "--bootstrap", "0", "--out", str(tmp_path / "r.json")],

@@ -9,6 +9,7 @@ import umlr.simulation as simulation
 from umlr import (
     ConvergenceError,
     Dataset,
+    DegeneratePartitionError,
     DgpConfig,
     DivisionGuardError,
     InvalidInputError,
@@ -16,11 +17,14 @@ from umlr import (
     NoMatchesError,
     PropensityModel,
     ResamplingError,
+    SingularSystemError,
     UnstableBootstrapError,
     aipw,
+    anchor_recalibrate,
     bootstrap_ci,
     dml,
     fit,
+    fit_constrained_linear,
     fit_propensity,
     generate_replicate,
     outcome_regression_ate,
@@ -31,6 +35,7 @@ from umlr import (
     x_learner,
 )
 from umlr.estimators import ESTIMATORS, EstimatorSpec, bootstrap_interval, resampled_points
+from umlr.learners import LINEAR_GROUP_TOL, _anchor_kernel, _ridge_kernel
 
 RIDGE1 = LearnerConfig(kind="ridge", lam=1.0)
 
@@ -428,11 +433,12 @@ class TestStackedBootstrap:
     # p = 40 > STACK_MAX_P: an arm of about 60 rows draws about 38 distinct
     # rows, fewer than p (the dual form) or more (the primal form)
     WIDE = DgpConfig(n=120, p=40, s=5, seed=20250808)
-    # The wide design's penalties. At propensity_l2 = 1 the stacked propensity
-    # fit comes near its line-search check on most of these resamples, which
-    # then run one by one and would leave the ridge kernel untested. At
-    # lam = 0.1 the arm fits nearly interpolate, and rounding moves points
-    # near 0 by more than 1e-12 of themselves (about 2e-13 absolute).
+    # The wide design's penalties. At propensity_l2 = 1 the logistic fits
+    # come near separation, and the stacked and per-resample fits of a
+    # resample may stop a Newton step apart, so parity at 1e-12 is checked
+    # at propensity_l2 = 30 (see the weak-penalty test). At lam = 0.1 the arm
+    # fits nearly interpolate, and rounding moves points near 0 by more than
+    # 1e-12 of themselves (about 2e-13 absolute).
     WIDE_L2 = 30.0
     WIDE_LEARNER = LearnerConfig(kind="ridge", lam=1.0)
     LEARNER = LearnerConfig(kind="ridge", lam=0.1)
@@ -508,9 +514,10 @@ class TestStackedBootstrap:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
             assert refused(got) == refused(ref)
 
-    def test_a_chunk_whose_solve_raises_goes_one_by_one(self, monkeypatch):
+    def test_a_singular_newton_step_fails_each_resample_on_its_own(self, monkeypatch):
         # a covariate equal to the intercept column makes every unpenalized
-        # propensity Hessian exactly singular
+        # propensity Hessian exactly singular: the aipw cell fails on every
+        # resample, and the t cell beside it is still evaluated stacked
         rng = np.random.default_rng(9)
         n = 60
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
@@ -518,9 +525,12 @@ class TestStackedBootstrap:
         data = Dataset(X, t, t + X[:, 1] + rng.standard_normal(n))
         cells = [(ESTIMATORS[name], EstimatorSpec(self.LEARNER, "mlr", propensity_l2=0.0))
                  for name in ("t_learner", "aipw")]
-        points, failures = resampled_points(data, cells, 50, 3)
-        assert (points, failures) == self.one_by_one(monkeypatch, data, cells, 50, 3)
-        assert failures == [Counter(), Counter(ConvergenceError=50)]
+        (points, failures), redone = self.redone(monkeypatch, data, cells, 50, 3)
+        ref_points, ref_failures = self.one_by_one(monkeypatch, data, cells, 50, 3)
+        assert redone == []
+        assert failures == ref_failures == [Counter(), Counter(ConvergenceError=50)]
+        for got, ref in zip(points, ref_points):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_worker_threads_give_identical_records(self):
         scenario = [(name, mode) for name in self.NAMES for mode in ("mlr", "umlr")]
@@ -575,6 +585,22 @@ class TestStackedBootstrap:
                 runs.append(resampled_points(data, cells, 60, 0))
             assert runs[0] == runs[1]
 
+    def test_weak_penalty_propensity_cells_run_stacked(self, monkeypatch):
+        # at propensity_l2 = 1 the wide design's line-search comparisons come
+        # within rounding of their bound; no resample is run one by one for it
+        cells = [(ESTIMATORS[name], EstimatorSpec(self.WIDE_LEARNER, mode, "auto", 1.0))
+                 for name in ("x_learner", "aipw") for mode in ("mlr", "umlr")]
+        for r in range(2):
+            data = generate_replicate(self.WIDE, r).data
+            (points, failures), redone = self.redone(monkeypatch, data, cells, 100, r)
+            assert redone == []
+            assert failures == [Counter()] * len(cells)
+            runs = []
+            for budget in (1, 10**9):  # one resample per chunk; all B in one
+                monkeypatch.setattr(estimators, "STACK_CELLS", budget)
+                runs.append(resampled_points(data, cells, 100, r))
+            assert runs[0] == runs[1] == (points, failures)
+
     def test_wide_worker_threads_give_identical_records(self):
         scenario = [(name, mode) for name in self.NAMES for mode in ("mlr", "umlr")]
         runs = [run_monte_carlo(self.WIDE, self.WIDE_LEARNER, scenario, reps=10, B=50,
@@ -614,6 +640,72 @@ class TestStackedBootstrap:
             rows = records[r * len(scenario):(r + 1) * len(scenario)]
             assert [row["n_boot_failed"] for row in rows] == [*counts, None, None]
             assert all(count > 0 for count in counts)
+
+
+class TestKernelStatus:
+    """Each count kernel reports per resample the error class that its
+    single-dataset fit raises: the public fit at k = 1 raises C, and the
+    kernel run on the same counts twice reports C for both rows."""
+
+    @staticmethod
+    def classes(status):
+        return [type(error) for error in status]
+
+    @staticmethod
+    def twice(counts):
+        return np.array([counts, counts], dtype=float)
+
+    def ridge_cases(self):
+        """(X, y, counts, C): a constant arm, an outcome drawing only one of
+        its two values, and a constant covariate (u = 0, infeasible)."""
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((10, 2))
+        two = np.where(np.arange(10) < 5, 1.0, 3.0)
+        yield X, np.full(10, 2.0), np.ones(10), DegeneratePartitionError
+        yield X, two, np.array([2, 1, 1, 3, 0, 0, 0, 0, 0, 0]), DegeneratePartitionError
+        yield np.full((10, 1), 3.0), np.arange(10.0), np.ones(10), SingularSystemError
+
+    def test_constrained_ridge_and_anchoring(self):
+        for X, y, counts, error in self.ridge_cases():
+            rows = np.repeat(np.arange(y.size), counts.astype(int))
+            with pytest.raises(error):
+                fit_constrained_linear(RIDGE1, X[rows], y[rows])
+            c = self.twice(counts)
+            below = y <= ((c * y).sum(axis=1) / c.sum(axis=1))[:, None]
+            assert self.classes(_ridge_kernel(1.0, X, y, c, below)[1].status) == [error] * 2
+            if error is DegeneratePartitionError:  # the anchoring layer's split
+                with pytest.raises(error):
+                    anchor_recalibrate(fit(RIDGE1, X[rows], y[rows]), X[rows], y[rows])
+                raw = np.tile(X[:, 0], (2, 1))
+                status = _anchor_kernel(raw, y, c, below, LINEAR_GROUP_TOL)[-1]
+                assert self.classes(status) == [error] * 2
+
+    def test_unpenalized_propensity_on_separable_or_singular_designs(self):
+        x = np.array([-2.0, -1.0, 1.0, 2.0, -1.5, 1.5])
+        t = np.array([0, 0, 1, 1, 0, 1])
+        for X in (x[:, None], np.column_stack([np.ones(6), x])):  # separable; singular
+            with pytest.raises(ConvergenceError):
+                fit_propensity(X, t, l2=0.0)
+            status = estimators._propensity_kernel(X, t, self.twice(np.ones(6)), 0.0)[1]
+            assert self.classes(status) == [ConvergenceError] * 2
+
+    def test_tiny_arm(self):
+        rng = np.random.default_rng(5)
+        n = 20
+        X = rng.standard_normal((n, 2))
+        t = (np.arange(n) < 4).astype(int)  # four treated units
+        data = Dataset(X, t, X[:, 0] + t + rng.standard_normal(n))
+        with pytest.raises(InvalidInputError):
+            t_learner(data, RIDGE1, "umlr")
+        memo = estimators.Nuisances(data, self.twice(np.ones(n)))
+        ESTIMATORS["t_learner"].run(data, EstimatorSpec(RIDGE1, "umlr"), memo)
+        assert self.classes(memo.status) == [InvalidInputError] * 2
+        # a resample drawing no treated unit has no propensity fit
+        counts = (t == 0) * 2.0
+        with pytest.raises(InvalidInputError):
+            fit_propensity(X[t == 0], t[t == 0])
+        status = estimators._propensity_kernel(X, t, self.twice(counts), 1.0)[1]
+        assert self.classes(status) == [InvalidInputError] * 2
 
 
 class TestPermutationInvariance:

@@ -2,10 +2,13 @@
 CSV file and the Monte-Carlo harness on the same replicate give the same
 points, and every registered estimator is reachable from the CLI."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import umlr
 from umlr import DgpConfig, LearnerConfig, generate_replicate, run_monte_carlo
 from umlr.cli import _parse_estimators, main
 from umlr.estimators import ESTIMATORS
@@ -61,3 +64,27 @@ def test_rows_carry_the_registered_estimand_and_modes(cli_rows):
 def test_every_alias_resolves_to_its_entry(name):
     aliases = (name, *ESTIMATORS[name].aliases)
     assert _parse_estimators(",".join(a.upper() for a in aliases)) == [name] * len(aliases)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a module other than the package's __init__ (which re-exports) must use
+    # every name it imports; a line marked "unused here" keeps a binding that
+    # bench/tests traces and is the only exemption
+    unused = []
+    for path in sorted(Path(umlr.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "unused here" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []
+

@@ -306,25 +306,25 @@ class TestPairedBootstrap:
 
     def test_one_propensity_fit_per_resample(self, monkeypatch):
         # per replicate: the full-data fit that x_learner and aipw share in
-        # both modes, DML's five fold fits, and one batched fit covering
-        # every resample
-        calls, batched = [], []
-        fit_propensity, propensity_stack = estimators.fit_propensity, estimators._propensity_stack
+        # both modes and DML's five fold fits, each the propensity kernel at
+        # k = 1, then one kernel call covering every resample
+        calls, kernel = [], []
+        fit_propensity, propensity_kernel = estimators.fit_propensity, estimators._propensity_kernel
 
         def counted(*args, **kwargs):
             calls.append(1)
             return fit_propensity(*args, **kwargs)
 
-        def counted_stack(X, t, c, l2):
-            batched.append(c.shape[0])
-            return propensity_stack(X, t, c, l2)
+        def counted_kernel(X, t, c, l2):
+            kernel.append(c.shape[0])
+            return propensity_kernel(X, t, c, l2)
 
         monkeypatch.setattr(estimators, "fit_propensity", counted)
-        monkeypatch.setattr(estimators, "_propensity_stack", counted_stack)
+        monkeypatch.setattr(estimators, "_propensity_kernel", counted_kernel)
         summaries = run_monte_carlo(self.NULL, self.LEARNER, self.SCENARIO, reps=10, B=self.B)
         assert all(s.n_failed == 0 for s in summaries)
         assert len(calls) == 10 * 6
-        assert batched == [self.B] * 10
+        assert kernel == ([1] * 6 + [self.B]) * 10
 
     def flaky_t(self, monkeypatch, umlr_share=0.0, mlr_point_fails=False):
         """Swap in a T-learner that fails in umlr mode on about ``umlr_share``
