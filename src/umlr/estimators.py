@@ -359,7 +359,8 @@ class Nuisances:
     def model(self, cfg: LearnerConfig, mode: str, umlr_route: str, part):
         """The outcome model of ``part``, a FittedModel, or with counts the
         kernel's fits; the "auto" umlr route is constrained for ridge and
-        lasso, anchored (wrapping the plain fit) for gbt."""
+        lasso, anchored (wrapping the plain fit) for gbt. A constrained lasso
+        warm-starts from the memo's plain fit, so each lasso is fitted once."""
         route = umlr_route if mode == "umlr" else "auto"
 
         def make():
@@ -376,7 +377,10 @@ class Nuisances:
                 _merge(self.status, status)
                 return base._replace(anchor=(a[:, None], b[:, None]))
             if c is None:
-                return (fit if mode == "mlr" else fit_constrained_linear)(cfg, X, y)
+                if mode == "mlr":
+                    return fit(cfg, X, y)
+                plain = self.model(cfg, "mlr", "auto", part) if cfg.kind == "lasso" else None
+                return fit_constrained_linear(cfg, X, y, plain=plain)
             fits = self._get(("fits", cfg, part), lambda: _ridge_kernel(cfg.lam, X, y, c, below))
             _merge(self.status, fits[mode == "umlr"].status)
             return fits[mode == "umlr"]

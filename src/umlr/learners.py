@@ -221,20 +221,14 @@ def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray,
                        intercept=float(fits.intercept[0]), **anchoring)
 
 
-def _soft_threshold(z: float, lam: float) -> float:
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
-
-
 def _lasso_sweep(cols, coef, resid, col_msq, lam, n, active=None):
     """One pass of cyclic coordinate descent; returns max |coef update|.
 
     ``cols`` holds the centered columns as strided views of ``Xc`` (a
-    contiguous copy would change the summation order of the dot products)
-    and ``col_msq`` their squared norms over ``n`` as Python floats.
+    contiguous copy would change the summation order of the dot products),
+    ``coef`` the coefficients as a list of Python floats and ``col_msq``
+    their squared norms over ``n`` as Python floats; each step is the
+    soft-threshold update, in IEEE operations on floats.
     """
     max_delta = 0.0
     for j in range(len(cols)) if active is None else active:
@@ -242,11 +236,19 @@ def _lasso_sweep(cols, coef, resid, col_msq, lam, n, active=None):
         if cj == 0.0:
             continue
         old = coef[j]
-        new = _soft_threshold((cols[j] @ resid) / n + cj * old, lam) / cj
+        z = float(cols[j] @ resid) / n + cj * old
+        if z > lam:
+            new = (z - lam) / cj
+        elif z < -lam:
+            new = (z + lam) / cj
+        else:
+            new = 0.0
         if new != old:
-            resid -= cols[j] * (new - old)
+            delta = new - old
+            resid -= cols[j] * delta
             coef[j] = new
-            max_delta = max(max_delta, abs(new - old))
+            if abs(delta) > max_delta:
+                max_delta = abs(delta)
     return max_delta
 
 
@@ -257,19 +259,20 @@ def _fit_lasso(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
     Xc = X - x_mean
     cols = list(Xc.T)
     col_msq = (Xc * Xc).mean(axis=0).tolist()
-    coef = np.zeros(p)
+    coef = [0.0] * p
     resid = y - y_mean
     for _ in range(LASSO_MAX_SWEEPS):
         delta = _lasso_sweep(cols, coef, resid, col_msq, config.lam, n)
         if delta < LASSO_COEF_TOL:
             break
         # cheap inner loop over the current active set before the next full sweep
-        active = np.flatnonzero(coef).tolist()
+        active = [j for j, b in enumerate(coef) if b]
         for _ in range(LASSO_MAX_SWEEPS):
             if _lasso_sweep(cols, coef, resid, col_msq, config.lam, n, active) < LASSO_COEF_TOL:
                 break
     else:
         raise ConvergenceError("lasso coordinate descent did not converge")
+    coef = np.array(coef)
     intercept = y_mean - x_mean @ coef
     return FittedModel(config=config, p=p, coef=coef, intercept=float(intercept))
 
@@ -426,7 +429,7 @@ def _anchor(base: FittedModel, raw: np.ndarray, y: np.ndarray) -> FittedModel:
                    group_residual_sums=tuple(sums[:, 0].tolist()), group_tol=float(tol[0]))
 
 
-def _fit_constrained_lasso(config, X, y, below) -> FittedModel:
+def _fit_constrained_lasso(config, X, y, below, plain) -> FittedModel:
     """Coordinate descent on the l1-penalized loss augmented with a multiplier
     and a quadratic term for the centred constraint m'b = c (m = u / n1,
     c = s / n1), finished by one exact affine projection so feasibility holds
@@ -437,12 +440,14 @@ def _fit_constrained_lasso(config, X, y, below) -> FittedModel:
     A bare sweep/project alternation cycles: each projection inflates the
     coefficients and the following sweep pulls them straight back. Folding
     the constraint into the swept objective (method of multipliers) removes
-    the cycle while keeping every update a soft-threshold step.
+    the cycle while keeping every update a soft-threshold step. The sweep
+    warm-starts from ``plain``, the plain lasso of the same rows, fitted here
+    when it is None.
     """
     n, p = X.shape
     n1 = int(np.count_nonzero(below))
     n2 = n - n1
-    start = _fit_lasso(config, X, y)  # warm start, before the design is copied
+    start = _fit_lasso(config, X, y) if plain is None else plain  # warm start, before the copy
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     A = np.empty((n + 1, p))  # centred design, then the multiplier row
@@ -493,7 +498,8 @@ def _fit_constrained_lasso(config, X, y, below) -> FittedModel:
                        group_residual_sums=tuple(sums.tolist()), group_tol=tol)
 
 
-def fit_constrained_linear(config: LearnerConfig, X, y) -> FittedModel:
+def fit_constrained_linear(config: LearnerConfig, X, y, *,
+                           plain: FittedModel | None = None) -> FittedModel:
     """Fit ridge or lasso subject to both anchoring constraints (umlr mode).
 
     The groups are the split of ``y`` at its mean, ties at the mean in r1; a
@@ -505,15 +511,23 @@ def fit_constrained_linear(config: LearnerConfig, X, y) -> FittedModel:
     (exact equality-constrained least squares); lasso runs its plain sweep on
     the centred design plus one multiplier row (method of multipliers) and
     finishes with one exact affine projection onto the constraint set.
+
+    ``plain``, the plain (mlr) fit ``fit(config, X, y)`` of the same data,
+    is lasso's warm start; without it lasso fits it first. It is only read,
+    and the result is the same either way. Ridge solves both fits at once
+    and does not use it.
     """
     if config.kind not in ("ridge", "lasso"):
         raise InvalidInputError("constrained fitting applies to linear kinds; use "
                                 "anchor_recalibrate for gbt")
     X, y = _validate_xy(X, y)
+    if plain is not None and (plain.config != config or plain.p != X.shape[1]
+                              or plain.mode != "mlr"):
+        raise InvalidInputError("plain must be the mlr fit of the same config and columns")
     below = _below(y)
     if config.kind == "ridge":
         return _fit_ridge(config, X, y, below)
-    return _fit_constrained_lasso(config, X, y, below)
+    return _fit_constrained_lasso(config, X, y, below, plain)
 
 
 # ---------------------------------------------------------------------------

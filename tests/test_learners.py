@@ -144,6 +144,27 @@ LASSO_GOLDEN = {
     ),
 }
 
+# Pinned constrained (umlr) lasso solutions of the same designs: nonzero
+# coefficients, intercept, then the training residual sums of r1 and r2.
+LASSO_CONSTRAINED_GOLDEN = {
+    "n_gt_p": (
+        {0: 1.6490549359805602, 1: -1.056609292262562, 2: 0.36020371581362826,
+         5: -0.02511572410364047, 6: 0.010774537090836147, 7: -0.013533005688793676,
+         9: 0.03269985628624245},
+        0.06758916265639495, (-8.215650382226158e-15, -3.9968028886505635e-15),
+    ),
+    "p_gt_n": (
+        {0: 2.0366938743363727, 1: -1.5082464206889348, 2: 0.8428488106253277,
+         3: 0.39859889724595526, 11: 0.010007663425840365, 24: -0.09655743229426578,
+         29: -0.10760429437399548, 30: -0.00963702202630029},
+        -0.12623262941671703, (-3.58046925441613e-15, -6.661338147750939e-16),
+    ),
+    "constant_column": (
+        {0: 1.0203204889707873, 4: -1.040460729607217, 5: 0.039530852250518785},
+        0.08933459624383677, (2.3314683517128287e-15, -6.106226635438361e-16),
+    ),
+}
+
 
 def _dense(nonzero: dict, p: int) -> np.ndarray:
     coef = np.zeros(p)
@@ -159,6 +180,29 @@ class TestLassoGolden:
         m = fit(LearnerConfig(kind="lasso", lam=lam), X, y)
         assert np.array_equal(m.coef, _dense(nonzero, X.shape[1]))
         assert m.intercept == intercept
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["own_start", "given_start"])
+    @pytest.mark.parametrize("case", sorted(LASSO_GOLDEN))
+    def test_constrained_fit_exact(self, case, warm):
+        # bit for bit, whether the fit warm-starts from the plain fit it makes
+        # itself or from the one it is given
+        make, _ = LASSO_GOLDEN[case]
+        nonzero, intercept, sums = LASSO_CONSTRAINED_GOLDEN[case]
+        X, y, lam = make()
+        cfg = LearnerConfig(kind="lasso", lam=lam)
+        start = {"plain": fit(cfg, X, y)} if warm else {}
+        m = fit_constrained_linear(cfg, X, y, **start)
+        assert np.array_equal(m.coef, _dense(nonzero, X.shape[1]))
+        assert m.intercept == intercept
+        assert m.group_residual_sums == sums
+
+    def test_plain_must_be_the_mlr_fit_of_the_config(self):
+        X, y, lam = _lasso_n_gt_p()
+        cfg = LearnerConfig(kind="lasso", lam=lam)
+        for plain in (fit(LearnerConfig(kind="lasso", lam=2 * lam), X, y),
+                      fit(cfg, X[:, 1:], y), fit_constrained_linear(cfg, X, y)):
+            with pytest.raises(InvalidInputError, match="plain"):
+                fit_constrained_linear(cfg, X, y, plain=plain)
 
     @pytest.mark.parametrize("case", sorted(LASSO_GOLDEN))
     def test_constrained_fit_is_the_exact_optimum(self, case):

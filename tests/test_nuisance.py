@@ -10,9 +10,17 @@ import pytest
 
 import umlr.estimators as estimators
 import umlr.learners as learners
-from umlr import ConvergenceError, Dataset, LearnerConfig, anchor_recalibrate
+from umlr import (
+    ConvergenceError,
+    Dataset,
+    LearnerConfig,
+    UmlrError,
+    anchor_recalibrate,
+    fit,
+    fit_constrained_linear,
+)
 from umlr.cli import load_csv, main
-from umlr.estimators import ESTIMATORS, EstimatorSpec, Nuisances, bootstrap_ci
+from umlr.estimators import ESTIMATORS, EstimatorSpec, Nuisances, bootstrap_ci, dml, t_learner
 
 GBT = LearnerConfig(kind="gbt", n_trees=5)
 SEED = 3
@@ -152,3 +160,84 @@ def test_failed_fit_is_not_stored(fit_counts):
         with pytest.raises(ConvergenceError):
             nuis.propensity(0.0, (0.01, 0.99))
         assert fit_counts["propensity"] == calls
+
+
+LASSO = LearnerConfig(kind="lasso", lam=0.05)
+
+
+@pytest.fixture
+def lasso_fits(monkeypatch):
+    """Counts the plain lasso fits, wherever they are made."""
+    calls = []
+    fit_lasso = learners._fit_lasso
+
+    def counted(config, X, y):
+        calls.append(X.shape)
+        return fit_lasso(config, X, y)
+
+    monkeypatch.setattr(learners, "_fit_lasso", counted)
+    return calls
+
+
+def lasso_data():
+    n = 80
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((n, 4))
+    t = np.arange(n) % 2
+    return Dataset(X, t, X[:, 0] - 0.5 * X[:, 1] + t + 0.5 * rng.standard_normal(n))
+
+
+def test_both_lasso_modes_share_each_plain_fit(lasso_fits):
+    # the constrained lasso warm-starts from the memo's plain fit of its part
+    data = lasso_data()
+    nuis = Nuisances(data)
+    for mode in ("mlr", "umlr"):
+        t_learner(data, LASSO, mode, nuis=nuis)
+    assert len(lasso_fits) == 2
+    for mode in ("mlr", "umlr"):
+        dml(data, LASSO, mode, folds=5, nuis=nuis)
+    assert len(lasso_fits) == 2 + 10
+
+
+def test_lasso_bootstrap_fits_each_arm_once_per_dataset(cohort, tmp_path, lasso_fits):
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--data", str(cohort), "--learner", "lasso", "--lam", "0.05",
+                 "--estimator", "t", "--mode", "both", "--bootstrap", "50",
+                 "--seed", str(SEED), "--out", str(out)]) == 0
+    assert len(lasso_fits) == 2 * 51  # the full data and each resample, both arms
+
+
+def test_memo_umlr_lasso_equals_the_public_fit():
+    data = lasso_data()
+    nuis = Nuisances(data)
+    for arm in (0, 1):
+        plain = nuis.model(LASSO, "mlr", "auto", ("arm", arm))
+        kept = plain.coef.copy(), plain.intercept
+        umlr = nuis.model(LASSO, "umlr", "auto", ("arm", arm))
+        rows = data.arm_indices(arm)
+        X, y = data.X[rows], data.y[rows]
+        for public in (fit_constrained_linear(LASSO, X, y),
+                       fit_constrained_linear(LASSO, X, y, plain=fit(LASSO, X, y))):
+            assert np.array_equal(umlr.coef, public.coef)
+            assert umlr.intercept == public.intercept
+            assert umlr.group_residual_sums == public.group_residual_sums
+        # the shared plain fit is read, not changed
+        assert nuis.model(LASSO, "mlr", "auto", ("arm", arm)) is plain
+        assert np.array_equal(plain.coef, kept[0]) and plain.intercept == kept[1]
+        assert np.array_equal(plain.coef, fit(LASSO, X, y).coef)
+
+
+@pytest.mark.parametrize("case", ["no_convergence", "constant_arm"])
+def test_umlr_lasso_raises_what_the_public_fit_raises(case, monkeypatch):
+    data = lasso_data()
+    if case == "no_convergence":  # the plain fit itself raises
+        monkeypatch.setattr(learners, "LASSO_MAX_SWEEPS", 1)
+    else:  # the plain fit succeeds, the anchoring split does not
+        data = Dataset(data.X, data.t, np.where(data.t == 1, 2.0, data.y))
+    rows = data.arm_indices(1)
+    with pytest.raises(UmlrError) as public:
+        fit_constrained_linear(LASSO, data.X[rows], data.y[rows])
+    with pytest.raises(UmlrError) as memo:
+        Nuisances(data).model(LASSO, "umlr", "auto", ("arm", 1))
+    assert type(memo.value) is type(public.value)
+    assert str(memo.value) == str(public.value)

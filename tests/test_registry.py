@@ -88,3 +88,24 @@ def test_no_module_imports_a_name_it_never_uses():
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
 
+
+def test_every_private_function_is_referenced():
+    # a module-level private function that no code of the package names
+    # (outside its own body) is dead; the public ones are the API
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(umlr.__file__).parent.glob("*.py"))}
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    named = [(node, names(node)) for tree in trees.values() for node in tree.body]
+    dead = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") \
+                    or fn.name.startswith("__"):
+                continue
+            if not any(fn.name in used for node, used in named if node is not fn):
+                dead.append(f"{module}:{fn.lineno} {fn.name}")
+    assert dead == []
