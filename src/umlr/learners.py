@@ -221,22 +221,29 @@ def _fit_ridge(config: LearnerConfig, X: np.ndarray, y: np.ndarray,
                        intercept=float(fits.intercept[0]), **anchoring)
 
 
-def _lasso_sweep(cols, coef, resid, col_msq, lam, n, active=None):
+def _lasso_sweep(dots, rows, coef, resid, col_msq, lam, n, active=None):
     """One pass of cyclic coordinate descent; returns max |coef update|.
 
-    ``cols`` holds the centered columns as strided views of ``Xc`` (a
-    contiguous copy would change the summation order of the dot products),
-    ``coef`` the coefficients as a list of Python floats and ``col_msq``
-    their squared norms over ``n`` as Python floats; each step is the
-    soft-threshold update, in IEEE operations on floats.
+    Each column of the centred design enters in two layouts. ``dots[j]`` is
+    the bound ``ndarray.dot`` of column j as a strided view of the design:
+    the dot with ``resid`` must stay on that view, because a contiguous copy
+    takes another BLAS kernel with another summation order; the bound method
+    is also the cheapest call that ends in that ddot (``@`` goes through the
+    matmul gufunc). ``rows[j]`` is a contiguous copy of the same column,
+    used for the update ``resid -= rows[j] * delta``: an elementwise
+    multiply and subtract give the same bits in any layout, and run faster
+    on contiguous memory. ``coef`` holds the coefficients as a list of
+    Python floats and ``col_msq`` their squared norms over ``n`` as Python
+    floats; each step is the soft-threshold update, in IEEE operations on
+    floats.
     """
     max_delta = 0.0
-    for j in range(len(cols)) if active is None else active:
+    for j in range(len(dots)) if active is None else active:
         cj = col_msq[j]
         if cj == 0.0:
             continue
         old = coef[j]
-        z = float(cols[j] @ resid) / n + cj * old
+        z = float(dots[j](resid)) / n + cj * old
         if z > lam:
             new = (z - lam) / cj
         elif z < -lam:
@@ -245,7 +252,7 @@ def _lasso_sweep(cols, coef, resid, col_msq, lam, n, active=None):
             new = 0.0
         if new != old:
             delta = new - old
-            resid -= cols[j] * delta
+            resid -= rows[j] * delta
             coef[j] = new
             if abs(delta) > max_delta:
                 max_delta = abs(delta)
@@ -257,18 +264,19 @@ def _fit_lasso(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
-    cols = list(Xc.T)
+    dots, rows = [col.dot for col in Xc.T], list(Xc.T.copy())
     col_msq = (Xc * Xc).mean(axis=0).tolist()
     coef = [0.0] * p
     resid = y - y_mean
     for _ in range(LASSO_MAX_SWEEPS):
-        delta = _lasso_sweep(cols, coef, resid, col_msq, config.lam, n)
+        delta = _lasso_sweep(dots, rows, coef, resid, col_msq, config.lam, n)
         if delta < LASSO_COEF_TOL:
             break
         # cheap inner loop over the current active set before the next full sweep
         active = [j for j, b in enumerate(coef) if b]
         for _ in range(LASSO_MAX_SWEEPS):
-            if _lasso_sweep(cols, coef, resid, col_msq, config.lam, n, active) < LASSO_COEF_TOL:
+            if _lasso_sweep(dots, rows, coef, resid, col_msq, config.lam, n,
+                            active) < LASSO_COEF_TOL:
                 break
     else:
         raise ConvergenceError("lasso coordinate descent did not converge")
@@ -294,12 +302,17 @@ def _best_split(xs: np.ndarray, rs: np.ndarray, min_leaf: int):
     lo, hi = min_leaf - 1, m - min_leaf
     left = cs[:, lo:hi]
     k = np.arange(min_leaf, hi + 1, dtype=float)
-    with np.errstate(invalid="ignore"):
-        score = left**2 / k + (total - left) ** 2 / (m - k)
+    score = np.square(left)  # left**2 / k + (total - left)**2 / (m - k), in place
+    score /= k
+    right = np.subtract(total, left)
+    np.square(right, out=right)
+    right /= m - k
+    score += right
     valid = xs[:, lo + 1 : hi + 1] > xs[:, lo:hi]
-    if not np.any(valid):
-        return None
-    score = np.where(valid, score, -np.inf)
+    if not valid.all():
+        if not valid.any():
+            return None
+        score = np.where(valid, score, -np.inf)
     i, j = divmod(int(np.argmax(score.T)), p)
     gain = score[j, i] - (total[j, 0] ** 2) / m
     if gain <= 0.0:
@@ -338,7 +351,7 @@ def _grow_tree(X: np.ndarray, order: np.ndarray, xs: np.ndarray, r: np.ndarray,
         node = add_node()
         split = None if idx is None else _best_split(xv, r[idx], min_leaf)
         if split is None:
-            leaf = float(r[rows].mean())
+            leaf = float(r[rows].sum() / rows.size)  # what np.mean computes
             value[node] = leaf
             pred[rows] += lr * leaf
             return node
@@ -374,10 +387,11 @@ def _fit_gbt(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedModel
     pred = np.full(n, init)
     trees = []
     mse_path = []
-    for _ in range(config.n_trees):
-        resid = y - pred
-        trees.append(_grow_tree(X, order, xs, resid, pred, config))
-        mse_path.append(float(np.mean((y - pred) ** 2)))
+    with np.errstate(invalid="ignore"):  # inf - inf in split scores of overflowing residuals
+        for _ in range(config.n_trees):
+            resid = y - pred
+            trees.append(_grow_tree(X, order, xs, resid, pred, config))
+            mse_path.append(float(np.mean((y - pred) ** 2)))
     return FittedModel(config=config, p=p, trees=tuple(trees), init_value=init,
                        train_mse_path=tuple(mse_path), train_pred=pred)
 
@@ -457,7 +471,9 @@ def _fit_constrained_lasso(config, X, y, below, plain) -> FittedModel:
     c = float(yc[below].mean())
     if not np.any(m):  # m'b = c < 0 has no solution
         raise SingularSystemError(_INFEASIBLE)
-    cols = list(A.T)
+    dots = [col.dot for col in A.T]
+    At = A.T.copy()  # contiguous columns of A, for the residual updates
+    rows = list(At)
     msq = (Xc * Xc).mean(axis=0)
     tol = LINEAR_GROUP_TOL * n * max(float(np.std(y)), 1e-300)
     mean_tol = tol / max(n1, n2)  # per-group mean residual scale
@@ -470,10 +486,10 @@ def _fit_constrained_lasso(config, X, y, below, plain) -> FittedModel:
     for sweep in range(LASSO_MAX_SWEEPS):
         if rho != row_rho:
             root, row_rho = np.sqrt(rho * n), rho
-            A[n] = root * m
+            At[:, n] = A[n] = root * m  # the multiplier row, in both layouts
             col_msq = (msq + rho * m * m).tolist()
         resid[n] = -root * (v + mu / rho)
-        max_delta = _lasso_sweep(cols, coef, resid, col_msq, config.lam, n)
+        max_delta = _lasso_sweep(dots, rows, coef, resid, col_msq, config.lam, n)
         v = float(m @ coef) - c
         mu += rho * v
         feas = abs(v) * max(1.0, n1 / n2)

@@ -14,12 +14,13 @@ from umlr import (
     LearnerConfig,
     RecalibrationSingularError,
     SingularSystemError,
+    UmlrError,
     anchor_recalibrate,
     fit,
     fit_constrained_linear,
     partition_by_mean,
 )
-from umlr.learners import GBT_GROUP_TOL, LASSO_COEF_TOL, LINEAR_GROUP_TOL
+from umlr.learners import GBT_GROUP_TOL, LASSO_COEF_TOL, LINEAR_GROUP_TOL, _best_split
 
 RIDGE0 = LearnerConfig(kind="ridge", lam=0.0)
 
@@ -231,6 +232,53 @@ class TestLassoGolden:
             fit_constrained_linear(cfg, X, y)
 
 
+def _lasso_family():
+    """Seeded lasso problems: n 10-120 and p 1-60 (some p > n), lam from 1e-3
+    to 1, a constant column in every fifth design; design 0 has p = 1, so its
+    constrained fits raise."""
+    for i in range(40):
+        rng = np.random.default_rng((1903, i))
+        n = int(rng.integers(10, 121))
+        p = 1 if i == 0 else int(rng.integers(1, 61))
+        X = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p)
+        if i % 5 == 0:
+            X[:, int(rng.integers(p))] = rng.uniform(-2.0, 2.0)
+        beta = np.zeros(p)
+        k = min(p, 4)
+        beta[:k] = 2.0 * rng.standard_normal(k)
+        y = X @ beta + 0.5 * rng.standard_normal(n) + 1.0
+        yield X, y, float(10.0 ** rng.uniform(-3.0, 0.0))
+
+
+# sha256 over the coefficient and intercept bytes of every fit of the family
+# (plain, constrained from scratch, constrained warm-started from the plain
+# fit), or the error class of a fit that raises
+LASSO_FAMILY_DIGEST = "7764b9711f2914179e6df36fd997fbf1f1e6fd82c012a71306401a0c1ffa82a7"
+
+
+class TestLassoFamily:
+    def test_every_fit_bit_identical(self):
+        h = hashlib.sha256()
+
+        def record(make):
+            try:
+                m = make()
+            except UmlrError as e:
+                h.update(type(e).__name__.encode())
+                return None
+            h.update(m.coef.tobytes())
+            h.update(np.float64(m.intercept).tobytes())
+            return m
+
+        for X, y, lam in _lasso_family():
+            cfg = LearnerConfig(kind="lasso", lam=lam)
+            plain = record(lambda: fit(cfg, X, y))
+            record(lambda: fit_constrained_linear(cfg, X, y))
+            if plain is not None:
+                record(lambda: fit_constrained_linear(cfg, X, y, plain=plain))
+        assert h.hexdigest() == LASSO_FAMILY_DIGEST
+
+
 class TestGbt:
     def test_exact_round_count_and_monotone_mse(self):
         rng = np.random.default_rng(4)
@@ -343,6 +391,75 @@ class TestGbtGolden:
         cfg, X, y = GBT_GOLDEN[case][0]()
         m = fit(cfg, X, y)
         assert m.train_mse_path[-1] == float(np.mean((y - m.predict(X)) ** 2))
+
+
+def best_split_reference(xs, rs, min_leaf):
+    """:func:`_best_split` candidate by candidate in Python floats: running
+    sums, the same score expression, the first maximum in (position,
+    feature) order, None when no candidate is valid or the gain is not
+    positive."""
+    p, m = xs.shape
+    if m < 2 * min_leaf:
+        return None
+    sums = []
+    for j in range(p):
+        run, row = 0.0, []
+        for v in rs[j].tolist():
+            run += v
+            row.append(run)
+        sums.append(row)
+    best = None
+    for i in range(min_leaf - 1, m - min_leaf):
+        k = float(i + 1)
+        for j in range(p):
+            if not xs[j, i + 1] > xs[j, i]:
+                continue
+            left, total = sums[j][i], sums[j][-1]
+            score = left * left / k + (total - left) * (total - left) / (m - k)
+            if best is None or score > best[0]:
+                best = (score, i, j)
+    if best is None:
+        return None
+    score, i, j = best
+    total = sums[j][-1]
+    if score - total * total / m <= 0.0:
+        return None
+    return j, float(0.5 * (xs[j, i] + xs[j, i + 1]))
+
+
+def _sorted_node(X, r):
+    order = np.argsort(X, axis=0, kind="stable").T
+    return X[order, np.arange(X.shape[1])[:, None]], r[order]
+
+
+class TestBestSplit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_reference(self, seed):
+        rng = np.random.default_rng((77, seed))
+        for trial in range(60):
+            m = int(rng.integers(2, 40))
+            p = int(rng.integers(1, 6))
+            min_leaf = int(rng.integers(1, 8))  # m < 2 min_leaf in some trials
+            X = rng.standard_normal((m, p))
+            if trial % 3 == 0:
+                X = np.round(X, 1)  # tied values and tied scores
+            if p > 1 and trial % 4 == 0:
+                X[:, -1] = X[:, 0]  # equal best scores across features
+            if trial % 5 == 0:
+                X[:, int(rng.integers(p))] = 0.25  # no valid cut in that column
+            r = rng.standard_normal(m)
+            if trial % 7 == 0:
+                r = np.round(r, 0)
+            xs, rs = _sorted_node(X, r)
+            assert _best_split(xs, rs, min_leaf) == best_split_reference(xs, rs, min_leaf)
+
+    def test_no_valid_candidate_or_no_gain(self):
+        xs, rs = _sorted_node(np.full((10, 2), 3.0), np.arange(10.0))
+        assert _best_split(xs, rs, 2) is None  # every column is constant
+        xs, rs = _sorted_node(np.arange(10.0)[:, None], np.zeros(10))
+        assert _best_split(xs, rs, 2) is None  # zero residuals: no gain
+        xs, rs = _sorted_node(np.arange(5.0)[:, None], np.arange(5.0))
+        assert _best_split(xs, rs, 3) is None  # m < 2 min_leaf
 
 
 class TestPredict:
