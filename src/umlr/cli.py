@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Dataset
 from .diagnostics import evaluate_predictions
-from .errors import CsvParseError, InvalidInputError, UmlrError
+from .errors import CsvParseError, InvalidInputError, UmlrError, check_choice, check_count
 from .estimators import (
     CI_METHODS,
     ESTIMATORS,
@@ -43,10 +43,7 @@ from .estimators import (
     EstimatorSpec,
     Nuisances,
     bootstrap_interval,
-    check_at_least,
     check_bootstrap,
-    check_choice,
-    check_nonnegative,
     resampled_points,
 )
 from .learners import _KINDS, LearnerConfig
@@ -226,7 +223,7 @@ _SIMULATE_OPTIONS = {
     **{f.name: (f.default, None, None) for f in dataclasses.fields(DgpConfig)
        if f.name not in ("shared_noise", "seed")},  # no flag; seed is common
     "reps": (100, None, None),
-    "workers": (1, None, "worker threads (default: env UMLR_WORKERS or 1)"),
+    "workers": (1, None, "worker threads (default 1); results do not depend on it"),
 }
 _ESTIMATE_OPTIONS = {**_OPTIONS, "caliper": (0.2, None, "PSM caliper multiplier")}
 
@@ -269,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config(args: argparse.Namespace, options: dict, **defaults) -> dict:
-    """Defaults < config file < flags: start from the table's defaults (or
-    those given), overlay the config file, then any flag actually passed."""
-    resolved = {key: default for key, (default, _, _) in options.items()} | defaults
+def _merge_config(args: argparse.Namespace, options: dict) -> dict:
+    """Defaults < config file < flags: start from the table's defaults,
+    overlay the config file, then any flag actually passed."""
+    resolved = {key: default for key, (default, _, _) in options.items()}
     if args.config:
         for key, raw in load_config_file(args.config).items():
             if key not in options:
@@ -332,18 +329,8 @@ def _cells(cfg: dict, learner: LearnerConfig) -> list[tuple[str, EstimatorSpec]]
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _env_workers() -> int:
-    raw = os.environ.get("UMLR_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidInputError(f"UMLR_WORKERS must be an integer, got {raw!r}") from None
-
-
 def _cmd_simulate(args) -> dict:
-    cfg = _merge_config(args, _SIMULATE_OPTIONS, workers=None)
-    if cfg["workers"] is None:  # neither the flag nor the config file sets it
-        cfg["workers"] = _env_workers()
+    cfg = _merge_config(args, _SIMULATE_OPTIONS)
     dgp = DgpConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(DgpConfig)
                        if f.name in cfg})
     learner = _learner_from(cfg)
@@ -388,8 +375,8 @@ def _cmd_estimate(args) -> dict:
     cfg = _merge_config(args, _ESTIMATE_OPTIONS)
     cells = _cells(cfg, _learner_from(cfg))
     B, warnings = cfg["bootstrap"], []
-    check_nonnegative("bootstrap", B)
-    check_at_least("seed", cfg["seed"], 0)
+    check_count("bootstrap", B, 0)
+    check_count("seed", cfg["seed"], 0)
     boot = [(k, ESTIMATORS[name], spec) for k, (name, spec) in enumerate(cells)
             if B > 0 and not ESTIMATORS[name].analytic_interval]
     if boot:

@@ -52,19 +52,10 @@ class Dataset:
     def __post_init__(self):
         X = _as_float_array(self.X, "X", 2)
         y = _as_float_array(self.y, "y", 1)
-        t_raw = np.asarray(self.t)
-        if t_raw.ndim != 1:
-            raise InvalidInputError(f"t must be 1-dimensional, got shape {t_raw.shape}")
-        if t_raw.size and not np.all(np.isfinite(t_raw.astype(float))):
-            raise InvalidInputError("t contains non-finite entries")
-        t = t_raw.astype(np.int64, copy=True)
-        if not np.array_equal(t.astype(float), t_raw.astype(float)) or not np.all(
-            (t == 0) | (t == 1)
-        ):
-            bad = np.flatnonzero(~np.isin(t_raw.astype(float), (0.0, 1.0)))
-            raise InvalidInputError(
-                f"t must contain only 0/1; first offending row {bad[0] if bad.size else '?'}"
-            )
+        t = _as_float_array(self.t, "t", 1)
+        bad = np.flatnonzero((t != 0) & (t != 1))
+        if bad.size:
+            raise InvalidInputError(f"t must contain only 0/1; first offending row {bad[0]}")
         n = X.shape[0]
         if n < 2:
             raise InvalidInputError(f"need n >= 2 units, got {n}")
@@ -75,7 +66,7 @@ class Dataset:
                 f"X, t, y must share n: got {n}, {t.shape[0]}, {y.shape[0]}"
             )
         object.__setattr__(self, "X", _frozen(X))
-        object.__setattr__(self, "t", _frozen(t))
+        object.__setattr__(self, "t", _frozen(t.astype(np.int64)))
         object.__setattr__(self, "y", _frozen(y))
 
     @property

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .errors import InvalidInputError, OracleUnavailableError, UndefinedSlopeError
+from .errors import InvalidInputError, OracleUnavailableError, UndefinedSlopeError, check_unit
 
 __all__ = [
     "SpbReport",
@@ -63,16 +63,9 @@ class BiasInputs:
     mu0_out: float  # mean of mu0*(X) over treated
 
     def __post_init__(self):
-        if not 0 < self.pi < 1:
-            raise InvalidInputError("pi must lie in (0, 1)")
-        for name in ("eta_1_0", "eta_0_1"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise InvalidInputError(f"{name} must lie in [0, 1]")
-        for name in ("w1", "w0"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise InvalidInputError(f"{name} must lie in (0, 1]")
+        check_unit("pi", self.pi)
+        for key, ends in (("eta_1_0", "[]"), ("eta_0_1", "[]"), ("w1", "(]"), ("w0", "(]")):
+            check_unit(key, getattr(self, key), ends)
 
 
 @dataclass(frozen=True)

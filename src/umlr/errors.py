@@ -1,9 +1,16 @@
-"""Exception hierarchy shared by all umlr modules.
+"""Exception hierarchy shared by all umlr modules, and the checks of a
+single knob.
 
 Every error raised by the library derives from :class:`UmlrError`, so callers
 (and the CLI) can catch one base class and map subclasses to stable error
-codes.
+codes. Each single-value knob has one check here, called by every reader of
+the knob; a bad value raises :class:`InvalidInputError` as
+``'key' must …; got …``. A count (resamples, folds, replicates, workers,
+sizes, seeds, tree shapes) must be an integer, a numpy integer included.
 """
+
+import math
+from numbers import Integral
 
 
 class UmlrError(Exception):
@@ -88,3 +95,30 @@ class CsvParseError(InvalidInputError):
     """A CSV cell or column could not be parsed; carries row/column context."""
 
     code = "csv_parse"
+
+
+# nan fails every comparison, so each check rejects it
+def check_choice(key: str, value, choices) -> None:
+    """Reject ``value`` unless it is one of ``choices``."""
+    if value not in choices:
+        raise InvalidInputError(f"{key!r} must be one of {', '.join(choices)}; got {value!r}")
+
+
+def check_count(key: str, value, low: int) -> None:
+    """Reject ``value`` unless it is an integer >= ``low``."""
+    if not (isinstance(value, Integral) and value >= low):
+        raise InvalidInputError(f"{key!r} must be an integer >= {low}; got {value!r}")
+
+
+def check_nonnegative(key: str, value) -> None:
+    """Reject ``value`` unless it is finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise InvalidInputError(f"{key!r} must be finite and >= 0; got {value!r}")
+
+
+def check_unit(key: str, value, ends: str = "()") -> None:
+    """Reject ``value`` outside the unit interval, each end open or closed
+    as ``ends`` ("()", "(]" or "[]") writes it."""
+    if not ((value >= 0 if ends[0] == "[" else value > 0)
+            and (value <= 1 if ends[1] == "]" else value < 1)):
+        raise InvalidInputError(f"{key!r} must lie in {ends[0]}0, 1{ends[1]}; got {value!r}")

@@ -39,6 +39,10 @@ from .errors import (
     UmlrError,
     UndefinedSlopeError,
     UnstableBootstrapError,
+    check_choice,
+    check_count,
+    check_nonnegative,
+    check_unit,
 )
 from .learners import (
     LINEAR_GROUP_TOL,
@@ -75,7 +79,6 @@ __all__ = [
     "bootstrap_ci",
     "bootstrap_interval",
     "check_bootstrap",
-    "check_choice",
     "resampled_points",
 ]
 
@@ -89,31 +92,7 @@ PROPENSITY_GRAD_TOL = 1e-8
 STACK_CELLS = 2**16  # (resample, row, column) cells per chunk: 512 KiB a stacked array
 
 
-# one check per knob, called by each reader of it; nan fails every comparison
-def check_choice(key: str, value, choices) -> None:
-    """Reject ``value`` unless it is one of ``choices``, naming the key."""
-    if value not in choices:
-        raise InvalidInputError(f"{key!r} must be one of {', '.join(choices)}; got {value!r}")
-
-
-def check_at_least(key: str, value, low) -> None:
-    """Reject ``value`` unless it is >= ``low``, naming the key."""
-    if not value >= low:
-        raise InvalidInputError(f"{key!r} must be >= {low}; got {value!r}")
-
-
-def check_nonnegative(key: str, value) -> None:
-    """Reject ``value`` unless it is finite and >= 0, naming the key."""
-    if not 0 <= value < np.inf:
-        raise InvalidInputError(f"{key!r} must be finite and >= 0; got {value!r}")
-
-
-def check_level(level) -> None:
-    """Reject a confidence level outside (0, 1)."""
-    if not 0 < level < 1:
-        raise InvalidInputError(f"'level' must lie in (0, 1); got {level!r}")
-
-
+# the checks of several values at once; each single knob's check is in errors
 def check_clip(clip) -> None:
     """Reject propensity clipping bounds outside 0 < lo < hi < 1."""
     lo, hi = clip
@@ -139,7 +118,7 @@ class AteEstimate:
     diagnostics: dict[str, SpbReport] | None = field(default=None)
 
     def __post_init__(self):
-        check_level(self.level)
+        check_unit("level", self.level)
         if (self.ci_low is None) != (self.ci_high is None):
             raise InvalidInputError("ci_low and ci_high must be set together")
         if self.ci_low is not None and self.ci_low > self.ci_high:
@@ -617,8 +596,8 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
     so the estimate does not depend on how the input rows were arranged, and
     both modes share the memo's fold assignment and propensity fits.
     """
-    check_at_least("folds", folds, 2)
-    check_level(level)
+    check_count("folds", folds, 2)
+    check_unit("level", level)
     if folds > data.n:
         raise InvalidInputError("more folds than units")
     nuis = nuis or Nuisances(data)
@@ -700,8 +679,8 @@ def psm_att(data: Dataset, prop, caliper: float = 0.2) -> AteEstimate:
 
 def check_bootstrap(B: int, level: float, method: str) -> None:
     """Reject a bootstrap request before any resample is drawn."""
-    check_at_least("B", B, 50)
-    check_level(level)
+    check_count("B", B, 50)
+    check_unit("level", level)
     check_choice("method", method, CI_METHODS)
 
 
@@ -737,7 +716,8 @@ def resampled_points(data: Dataset, cells, B: int, seed: int):
     under its class. Every other cell is evaluated one resample at a time
     on the resample's rows, all of them sharing the resample's memo.
     """
-    check_at_least("seed", seed, 0)
+    check_count("B", B, 0)
+    check_count("seed", seed, 0)
     values = [[None] * B for _ in cells]  # a point, or the class of the error raised
     stacked = [i for i, (entry, spec) in enumerate(cells) if entry.run in _STACKED
                and spec.learner.kind == "ridge" and spec.learner.lam > 0]
@@ -787,8 +767,7 @@ def bootstrap_interval(points: list[float], B: int, level: float, method: str,
 
 
 def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
-                 seed: int = 0, method: str = "percentile",
-                 center: float | None = None) -> tuple[float, float]:
+                 seed: int = 0, method: str = "percentile") -> tuple[float, float]:
     """Case-resampling bootstrap interval for a point estimator.
 
     ``estimator`` maps a Dataset to a float. Resample b draws its indices
@@ -796,22 +775,21 @@ def bootstrap_ci(data: Dataset, estimator, B: int = 200, level: float = 0.95,
     independent of evaluation order.
 
     ``method="percentile"`` returns the percentile interval of the resampled
-    points. ``method="normal"`` returns ``center +- z * sd(resampled
-    points)``; for regularized learners, whose resampling distribution is
-    shifted by duplicated-row shrinkage, the normal form keeps the interval
-    centered on the estimate instead of inheriting that shift (``center``
-    defaults to the estimator evaluated on ``data``).
+    points. ``method="normal"`` returns ``estimator(data) +- z *
+    sd(resampled points)``; for regularized learners, whose resampling
+    distribution is shifted by duplicated-row shrinkage, the normal form
+    keeps the interval centered on the estimate instead of inheriting that
+    shift.
 
     Raises :class:`UnstableBootstrapError` when the estimator fails on more
     than :data:`BOOTSTRAP_MAX_FAILURE_RATE` of the resamples.
     """
     check_bootstrap(B, level, method)
-    check_at_least("seed", seed, 0)
+    check_count("seed", seed, 0)
     fns = [lambda sub, _: estimator(sub)]
     points = [v for b in range(B) for v in _on_resample(data, seed, b, fns)
               if isinstance(v, float)]
-    mid = (lambda: estimator(data)) if center is None else (lambda: center)
-    return bootstrap_interval(points, B, level, method, mid)
+    return bootstrap_interval(points, B, level, method, lambda: estimator(data))
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +814,8 @@ class EstimatorSpec:
         check_choice("mode", self.mode, MODES)
         check_choice("umlr_route", self.umlr_route, UMLR_ROUTES)
         check_clip(self.clip)
-        check_level(self.level)
-        check_at_least("folds", self.folds, 2)
+        check_unit("level", self.level)
+        check_count("folds", self.folds, 2)
         check_nonnegative("propensity_l2", self.propensity_l2)
         check_nonnegative("caliper", self.caliper)
         if self.mode == "umlr" and self.umlr_route == "constrained" and self.learner.kind == "gbt":

@@ -45,6 +45,10 @@ from .errors import (
     InvalidInputError,
     RecalibrationSingularError,
     SingularSystemError,
+    check_choice,
+    check_count,
+    check_nonnegative,
+    check_unit,
 )
 
 __all__ = [
@@ -85,21 +89,11 @@ class LearnerConfig:
     min_leaf: int = 5
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidInputError(f"unknown learner kind {self.kind!r}; expected one of {_KINDS}")
-        if not 0 <= self.lam < np.inf:  # also rejects nan
-            raise InvalidInputError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if self.n_trees < 1:
-            raise InvalidInputError("n_trees must be >= 1")
-        if not 0 < self.learning_rate <= 1:
-            raise InvalidInputError("learning_rate must be in (0, 1]")
-        if self.min_leaf < 1 or self.max_depth < 1:
-            raise InvalidInputError("min_leaf and max_depth must be >= 1")
-        object.__setattr__(self, "_hash", hash((self.kind, self.lam, self.n_trees, self.max_depth,
-                                                self.learning_rate, self.min_leaf)))
-
-    def __hash__(self):  # computed once: nuisance-memo keys hash the config often
-        return self._hash
+        check_choice("kind", self.kind, _KINDS)
+        check_nonnegative("lam", self.lam)
+        for key in ("n_trees", "max_depth", "min_leaf"):
+            check_count(key, getattr(self, key), 1)
+        check_unit("learning_rate", self.learning_rate, "(]")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,14 @@ import numpy as np
 
 from .core import Dataset
 from .diagnostics import BiasInputs, counterfactual_slopes, shrinkage_ate_bias
-from .errors import InvalidInputError, UmlrError
+from .errors import (
+    InvalidInputError,
+    UmlrError,
+    check_choice,
+    check_count,
+    check_nonnegative,
+    check_unit,
+)
 from .estimators import (
     CI_METHODS,
     DEFAULT_CLIP,
@@ -36,10 +43,7 @@ from .estimators import (
     aipw,
     bootstrap_ci,  # unused here; bench/tests checks the tracer reaches this binding
     bootstrap_interval,
-    check_at_least,
     check_bootstrap,
-    check_choice,
-    check_nonnegative,
     outcome_regression_ate,
     resampled_points,
 )
@@ -84,16 +88,16 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_at_least("n", self.n, 20)
-        if not 1 <= self.s <= self.p:
-            raise InvalidInputError("need 1 <= s <= p")
+        check_count("n", self.n, 20)
+        check_count("s", self.s, 1)
+        check_count("p", self.p, self.s)
         if self.effect_scale != 0.0 and 2 * self.s > self.p:
             raise InvalidInputError("heterogeneous effects need 2*s <= p")
         check_nonnegative("sigma", self.sigma)
         for key in ("mu1", "mu0", "beta_scale", "gamma_scale", "effect_scale"):
             if not math.isfinite(getattr(self, key)):
                 raise InvalidInputError(f"{key!r} must be finite; got {getattr(self, key)!r}")
-        check_at_least("seed", self.seed, 0)
+        check_count("seed", self.seed, 0)
         if self.confound_sign not in (-1.0, 1.0):
             raise InvalidInputError("confound_sign must be -1 or +1")
 
@@ -117,8 +121,7 @@ class SimReplicate:
 
 def generate_replicate(cfg: DgpConfig, rep_index: int) -> SimReplicate:
     """Draw one replicate; a pure function of (cfg.seed, rep_index)."""
-    if rep_index < 0:
-        raise InvalidInputError("rep_index must be >= 0")
+    check_count("rep_index", rep_index, 0)
     rng = np.random.default_rng((cfg.seed, rep_index))
     X = rng.standard_normal((cfg.n, cfg.p))
 
@@ -169,11 +172,9 @@ def inject_spb(rep: SimReplicate, eta_in: float, eta_out: float, w: float):
     the opposite arm, with target = w * (training-arm mean) +
     (1 - w) * (opposite-arm mean). Returns (mu0_hat, mu1_hat).
     """
-    for name, v in (("eta_in", eta_in), ("eta_out", eta_out)):
-        if not 0 <= v <= 1:
-            raise InvalidInputError(f"{name} must lie in [0, 1]")
-    if not 0 < w <= 1:
-        raise InvalidInputError("w must lie in (0, 1]")
+    check_unit("eta_in", eta_in, "[]")
+    check_unit("eta_out", eta_out, "[]")
+    check_unit("w", w, "(]")
     t = rep.data.t
     treated = t == 1
     control = ~treated
@@ -310,9 +311,9 @@ def run_monte_carlo(dgp: DgpConfig, learner: LearnerConfig, scenario,
     and makes percentile intervals systematically miss; the normal form
     stays centered on the point estimate.
     """
-    check_at_least("reps", reps, 10)
-    check_at_least("workers", workers, 1)
-    check_nonnegative("B", B)
+    check_count("reps", reps, 10)
+    check_count("workers", workers, 1)
+    check_count("B", B, 0)
     check_choice("ci_method", ci_method, CI_METHODS)
     cells = []
     for name, mode in scenario:
@@ -384,6 +385,7 @@ def shrinkage_oracle_study(dgp: DgpConfig, reps: int, eta_in: float,
     """Per-replicate plug-in ATE bias under injected shrinkage, the matching
     closed-form value (from realized sample strata), and the oracle-propensity
     AIPW bias. Arrays are aligned by replicate index."""
+    check_count("reps", reps, 1)
     or_bias = np.empty(reps)
     closed = np.empty(reps)
     aipw_bias = np.empty(reps)
@@ -445,6 +447,7 @@ def aipw_oracle_sweep(n_grid, sigma_grid, template: DgpConfig, reps: int,
     """
     if not n_grid or not sigma_grid:
         raise InvalidInputError("n_grid and sigma_grid must be nonempty")
+    check_count("reps", reps, 2)  # mc_se takes the sd with ddof=1
     for v in variants:
         check_choice("variant", v, ("aipw_oracle_mlr", "aipw_oracle_umlr", "po_mean_oracle"))
     ols = LearnerConfig(kind="ridge", lam=0.0)

@@ -764,6 +764,47 @@ class TestKnobChecks:
         with pytest.raises(InvalidInputError, match="'seed'"):
             bootstrap_ci(d, lambda dd: float(np.mean(dd.y)), B=50, seed=-1)
 
+    def test_count_knobs_must_be_integers(self):
+        # every int field of the configs and every count argument rejects a
+        # float with InvalidInputError and takes a numpy integer
+        import dataclasses
+
+        d = randomized_dataset(seed=34, n=60)
+        dgp = DgpConfig(n=40, p=4, s=2, seed=1)
+        t_cell = [(ESTIMATORS["t_learner"], EstimatorSpec(RIDGE1))]
+        t_mlr = [("t_learner", "mlr")]
+
+        def mean(dd):
+            return float(np.mean(dd.y))
+
+        calls = {  # knob -> (call with the knob set to v, a valid value)
+            f"{type(base).__name__}.{f.name}": (
+                lambda v, base=base, key=f.name: replace(base, **{key: v}), getattr(base, f.name))
+            for base in (LearnerConfig(), dgp, EstimatorSpec(RIDGE1))
+            for f in dataclasses.fields(base) if f.type in (int, "int")
+        }
+        assert len(calls) == 8
+        calls |= {
+            "bootstrap_ci B": (lambda v: bootstrap_ci(d, mean, B=v), 50),
+            "bootstrap_ci seed": (lambda v: bootstrap_ci(d, mean, B=50, seed=v), 0),
+            "resampled_points B": (lambda v: resampled_points(d, t_cell, v, 0), 50),
+            "resampled_points seed": (lambda v: resampled_points(d, t_cell, 50, v), 0),
+            "dml folds": (lambda v: dml(d, RIDGE1, folds=v), 2),
+            "run_monte_carlo reps": (lambda v: run_monte_carlo(dgp, RIDGE1, t_mlr, v, B=0), 10),
+            "run_monte_carlo B": (lambda v: run_monte_carlo(dgp, RIDGE1, t_mlr, 10, B=v), 0),
+            "run_monte_carlo workers": (
+                lambda v: run_monte_carlo(dgp, RIDGE1, t_mlr, 10, B=0, workers=v), 1),
+            "generate_replicate rep_index": (lambda v: generate_replicate(dgp, v), 0),
+            "shrinkage_oracle_study reps": (
+                lambda v: simulation.shrinkage_oracle_study(dgp, v, 0.5, 0.5, 0.5), 1),
+            "aipw_oracle_sweep reps": (lambda v: simulation.aipw_oracle_sweep(
+                [40], [1.0], dgp, v, variants=("po_mean_oracle",)), 2),
+        }
+        for call, valid in calls.values():
+            with pytest.raises(InvalidInputError, match="must be an integer"):
+                call(2.5)
+            call(np.int64(valid))
+
     def test_spec_rejects_constrained_route_for_gbt(self):
         from umlr.estimators import EstimatorSpec
 
