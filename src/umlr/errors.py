@@ -90,6 +90,9 @@ class UnstableBootstrapError(UmlrError):
             message or f"estimator failed on {failure_rate:.1%} of bootstrap resamples"
         )
 
+    def __reduce__(self):  # rebuilt from both arguments, so it survives pickling
+        return type(self), (self.failure_rate, *self.args)
+
 
 class CsvParseError(InvalidInputError):
     """A CSV cell or column could not be parsed; carries row/column context."""

@@ -11,7 +11,8 @@ Point estimators are pure functions of (data, config); confidence intervals
 come from the case-resampling bootstrap (:func:`bootstrap_ci`, percentile or
 normal form), except DML, which carries an analytic influence-function
 interval. :func:`resampled_points` evaluates the ridge s/t/x/aipw cells on
-all resamples of a chunk at once, through the count kernels.
+all resamples of a chunk at once, through the count kernels, and
+:func:`dml` fits all folds of a ridge learner at once in the same way.
 
 :data:`ESTIMATORS` is the one place an estimator is registered; the CLI and
 the Monte-Carlo harness both dispatch through it. Estimators run on the same
@@ -136,12 +137,11 @@ class AteEstimate:
 # ---------------------------------------------------------------------------
 
 def _expit(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function, without overflow: 1 / (1 + e^-z) for z >= 0,
+    e^z / (1 + e^z) below, both from e = e^-|z| (min(z, -z) keeps the sign
+    of a NaN), so each entry has the bits of the two-branch form."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,10 @@ def _propensity_kernel(X: np.ndarray, t: np.ndarray, c: np.ndarray, l2: float):
           InvalidInputError, "t must contain both classes 0 and 1")
     stuck = "logistic fit did not converge; data may be separable with l2 = 0 (try l2 > 0)"
 
-    def objective(th, cw, ctw):
+    def objective(th, cw, ctw):  # log(1 + e^z) as max(z, 0) + log1p(e^-|z|)
         z = np.matvec(D, th)
-        return (cw * np.logaddexp(0.0, z)).sum(axis=1) - np.vecdot(ctw, z) \
-            + 0.5 * np.vecdot(th**2, pen), z
+        softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        return (cw * softplus).sum(axis=1) - np.vecdot(ctw, z) + 0.5 * np.vecdot(th**2, pen), z
 
     theta = np.zeros((len(c), D.shape[1]))
     live = np.flatnonzero(np.equal(status, None))  # the resamples still stepping, and theirs:
@@ -284,14 +284,16 @@ class Nuisances:
     Outcome models are keyed by learner config, mode, umlr route and training
     part: ``("arm", a)``, the rows of arm ``a``; ``("fold", folds, k, a)``,
     those outside DML fold ``k``; ``("s",)``, all rows with ``t`` appended.
-    Propensity fits are keyed by ``(l2, clip)`` and the fold left out; no key
-    looks at array contents. A fit that raises is not stored. Entries are
+    Propensity fits are keyed by ``(l2, clip)`` and the fold left out, and
+    the memo of all DML folds (see :func:`dml`) by ``("cross", folds)``; no
+    key looks at array contents. A fit that raises is not stored. Entries are
     shared between callers, who must not modify them.
 
     Given ``counts`` (k, n), the memo holds k case resamples of ``data``
-    (row i drawn ``counts[b, i]`` times): the count kernels make its ridge
-    (lam > 0) arm and s fits and full-data propensity fit, predictions are
-    (k, n), and each access to an entry adds its fits' errors to ``status``.
+    (row i drawn ``counts[b, i]`` times), or with 0/1 counts the training
+    parts of k DML folds: the count kernels make its ridge (lam > 0) arm and
+    s fits and full-data propensity fit, predictions are (k, n), and each
+    access to an entry adds its fits' errors to ``status``.
     """
 
     def __init__(self, data: Dataset, counts: np.ndarray | None = None):
@@ -405,6 +407,12 @@ class Nuisances:
             return fit_propensity(X[~test], t[~test], l2=l2, clip=clip).predict_proba(X[test])
 
         return self._get(("prop", l2, tuple(clip), fold), make)
+
+
+def _has_count_kernel(cfg: LearnerConfig) -> bool:
+    """Whether a :class:`Nuisances` memo with counts can fit ``cfg``: the
+    count kernels fit ridge with lam > 0."""
+    return cfg.kind == "ridge" and cfg.lam > 0
 
 
 def _check_arms(nuis: Nuisances, cfg: LearnerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -595,6 +603,13 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
     Folds are dealt round-robin within each arm along a canonical row order,
     so the estimate does not depend on how the input rows were arranged, and
     both modes share the memo's fold assignment and propensity fits.
+
+    A learner with a count kernel (ridge, lam > 0) fits all folds at once,
+    on a :class:`Nuisances` memo whose counts row b is fold b's training
+    indicator (1 outside the fold, 0 inside), kept in ``nuis`` for both
+    modes: one ridge kernel call per arm and one propensity kernel call,
+    each fold's scores read at its held-out rows. Other learners fit fold by
+    fold. Either way the first fold that fails, in fold order, raises.
     """
     check_count("folds", folds, 2)
     check_unit("level", level)
@@ -602,10 +617,18 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
         raise InvalidInputError("more folds than units")
     nuis = nuis or Nuisances(data)
     fold_of = nuis.folds(folds)
+    held = fold_of == np.arange(folds)[:, None]  # (folds, n)
+    cross = None
+    if _has_count_kernel(cfg):
+        cross = nuis._get(("cross", folds), lambda: Nuisances(data, (~held).astype(float)))
+        cross.status = _ok(folds)
+        with np.errstate(all="ignore"):  # a thin fold may divide by 0; it raises below
+            m0, m1 = [cross.predictions(cfg, mode, umlr_route, ("arm", arm)) for arm in (0, 1)]
+            e = cross.propensity(l2, clip)
 
     scores = np.empty(data.n)
     for k in range(folds):
-        test = fold_of == k
+        test = held[k]
         if not np.any(test):
             continue
         t_train = data.t[~test]
@@ -613,11 +636,18 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
             raise ResamplingError(
                 f"training part of fold {k} has fewer than 2 units in an arm"
             )
+        if cross is not None:
+            if cross.status[k] is not None:
+                raise cross.status[k]
+            continue
         test_data = data.subset(np.flatnonzero(test))
         m0, m1 = [nuis.predictions(cfg, mode, umlr_route, ("fold", folds, k, arm))
                   for arm in (0, 1)]
         e = nuis.propensity(l2, clip, (folds, k))
         scores[test] = aipw_scores(test_data, m0, m1, e)
+    if cross is not None:  # each row's values under the fit of its own fold
+        own = fold_of, np.arange(data.n)
+        scores = _aipw_scores(data, m0[own], m1[own], e[own])
 
     point = float(np.mean(scores))
     se = float(np.std(scores, ddof=1) / np.sqrt(data.n))
@@ -719,8 +749,8 @@ def resampled_points(data: Dataset, cells, B: int, seed: int):
     check_count("B", B, 0)
     check_count("seed", seed, 0)
     values = [[None] * B for _ in cells]  # a point, or the class of the error raised
-    stacked = [i for i, (entry, spec) in enumerate(cells) if entry.run in _STACKED
-               and spec.learner.kind == "ridge" and spec.learner.lam > 0]
+    stacked = [i for i, (entry, spec) in enumerate(cells)
+               if entry.run in _STACKED and _has_count_kernel(spec.learner)]
     if stacked:
         # a batched ridge solve or a propensity fit stacks (k, p + 2, n) arrays;
         # above STACK_MAX_P the ridge cells hold about ten (k, n) arrays at once

@@ -226,12 +226,14 @@ def _lasso_sweep(dots, rows, coef, resid, col_msq, lam, n, active=None):
     matmul gufunc). ``rows[j]`` is a contiguous copy of the same column,
     used for the update ``resid -= rows[j] * delta``: an elementwise
     multiply and subtract give the same bits in any layout, and run faster
-    on contiguous memory. ``coef`` holds the coefficients as a list of
+    on contiguous memory; the product goes to one buffer for the sweep, not
+    a new array per update. ``coef`` holds the coefficients as a list of
     Python floats and ``col_msq`` their squared norms over ``n`` as Python
     floats; each step is the soft-threshold update, in IEEE operations on
     floats.
     """
     max_delta = 0.0
+    buf = np.empty_like(resid)
     for j in range(len(dots)) if active is None else active:
         cj = col_msq[j]
         if cj == 0.0:
@@ -246,7 +248,7 @@ def _lasso_sweep(dots, rows, coef, resid, col_msq, lam, n, active=None):
             new = 0.0
         if new != old:
             delta = new - old
-            resid -= rows[j] * delta
+            resid -= np.multiply(rows[j], delta, out=buf)
             coef[j] = new
             if abs(delta) > max_delta:
                 max_delta = abs(delta)

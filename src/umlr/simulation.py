@@ -164,6 +164,12 @@ def generate_replicate(cfg: DgpConfig, rep_index: int) -> SimReplicate:
     )
 
 
+def _check_spb(eta_in: float, eta_out: float, w: float) -> None:
+    check_unit("eta_in", eta_in, "[]")
+    check_unit("eta_out", eta_out, "[]")
+    check_unit("w", w, "(]")
+
+
 def inject_spb(rep: SimReplicate, eta_in: float, eta_out: float, w: float):
     """Oracle prediction vectors following the linear-shrinkage model exactly.
 
@@ -172,9 +178,7 @@ def inject_spb(rep: SimReplicate, eta_in: float, eta_out: float, w: float):
     the opposite arm, with target = w * (training-arm mean) +
     (1 - w) * (opposite-arm mean). Returns (mu0_hat, mu1_hat).
     """
-    check_unit("eta_in", eta_in, "[]")
-    check_unit("eta_out", eta_out, "[]")
-    check_unit("w", w, "(]")
+    _check_spb(eta_in, eta_out, w)
     t = rep.data.t
     treated = t == 1
     control = ~treated
@@ -386,6 +390,7 @@ def shrinkage_oracle_study(dgp: DgpConfig, reps: int, eta_in: float,
     closed-form value (from realized sample strata), and the oracle-propensity
     AIPW bias. Arrays are aligned by replicate index."""
     check_count("reps", reps, 1)
+    _check_spb(eta_in, eta_out, w)
     or_bias = np.empty(reps)
     closed = np.empty(reps)
     aipw_bias = np.empty(reps)

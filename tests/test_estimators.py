@@ -104,6 +104,23 @@ class TestFitPropensity:
         with pytest.raises(InvalidInputError):
             fit_propensity([[1.0], [2.0]], [1, 1], l2=1.0)
 
+    def test_expit_has_the_bits_of_the_two_branch_form(self):
+        def two_branch(z):
+            out = np.empty_like(z, dtype=float)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e308, -1e308]
+        rng = np.random.default_rng(19)
+        z = np.concatenate([edges, 3.0 * rng.standard_normal(5000),
+                            300.0 * rng.standard_normal(5000)])
+        for zz in (z, z.reshape(2, -1)):
+            assert np.array_equal(estimators._expit(zz).view(np.uint64),
+                                  two_branch(zz).view(np.uint64))
+
 
 class TestOutcomeRegressionAte:
     def test_shift_linearity(self):
@@ -301,6 +318,56 @@ class TestDml:
         with pytest.raises(ResamplingError):
             dml(Dataset(X, t, y), LearnerConfig(kind="ridge", lam=1.0), "mlr",
                 folds=6)
+
+    @staticmethod
+    def fold_by_fold(monkeypatch, *args, **kwargs):
+        """dml on the path of learners without a count kernel: each fold's
+        arm models and propensity fitted on its own training rows."""
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_has_count_kernel", lambda cfg: False)
+            return dml(*args, **kwargs)
+
+    @pytest.mark.parametrize("p, folds", [(4, 5), (3, 10), (40, 5)])
+    @pytest.mark.parametrize("umlr_route", ["auto", "anchored"])
+    def test_ridge_folds_at_once_equal_fold_by_fold(self, monkeypatch, p, folds, umlr_route):
+        d = randomized_dataset(n=60, p=p, seed=20 + p)
+        nuis, ref_nuis = estimators.Nuisances(d), estimators.Nuisances(d)
+        for mode in ("mlr", "umlr"):
+            est = dml(d, RIDGE1, mode, folds=folds, umlr_route=umlr_route, nuis=nuis)
+            ref = self.fold_by_fold(monkeypatch, d, RIDGE1, mode, folds=folds,
+                                    umlr_route=umlr_route, nuis=ref_nuis)
+            got = (est.point, est.ci_low, est.ci_high)
+            assert got == pytest.approx((ref.point, ref.ci_low, ref.ci_high), rel=1e-12, abs=0)
+
+    def test_ridge_folds_share_one_kernel_call_per_arm_and_propensity(self, monkeypatch):
+        calls = Counter()
+        ridge, propensity = estimators._ridge_kernel, estimators._propensity_kernel
+        monkeypatch.setattr(estimators, "_ridge_kernel",
+                            lambda *a: calls.update(ridge=1) or ridge(*a))
+        monkeypatch.setattr(estimators, "_propensity_kernel",
+                            lambda *a: calls.update({("propensity", len(a[2])): 1})
+                            or propensity(*a))
+        d = randomized_dataset(n=60, seed=23)
+        nuis = estimators.Nuisances(d)
+        for mode in ("mlr", "umlr"):
+            dml(d, RIDGE1, mode, folds=5, nuis=nuis)
+        assert calls == {"ridge": 2, ("propensity", 5): 1}
+
+    @pytest.mark.parametrize("mode", ["mlr", "umlr"])
+    def test_failing_fold_raises_the_fold_by_fold_class(self, monkeypatch, mode):
+        # one treated unit leaves every fold's training part thin
+        X = np.arange(12, dtype=float).reshape(-1, 1)
+        thin = Dataset(X, np.array([1] + [0] * 11), np.arange(12, dtype=float))
+        # t = 1 exactly when x > 0: at l2 = 0 no fold's logistic fit has an optimum
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((40, 2))
+        t = (X[:, 0] > 0).astype(int)
+        separable = Dataset(X, t, X[:, 1] + t + 0.1 * rng.standard_normal(40))
+        for data, l2, error in ((thin, 1.0, ResamplingError), (separable, 0.0, ConvergenceError)):
+            with pytest.raises(error):
+                self.fold_by_fold(monkeypatch, data, RIDGE1, mode, folds=4, l2=l2)
+            with pytest.raises(error):
+                dml(data, RIDGE1, mode, folds=4, l2=l2)
 
     def test_interval_present_and_ordered(self):
         d = randomized_dataset(seed=17)

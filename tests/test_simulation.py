@@ -164,6 +164,16 @@ class TestShrinkageOracleStudy:
         se = diff.std(ddof=1) / np.sqrt(len(diff))
         assert abs(diff.mean()) <= max(2 * se, 1e-10)
 
+    def test_bad_knob_rejected_before_the_first_replicate(self, monkeypatch):
+        def no_replicate(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulation, "generate_replicate", no_replicate)
+        dgp = DgpConfig(n=40, p=4, s=2)
+        for knobs in ((1.2, 0.5, 1.0), (1.0, -0.1, 1.0), (0.5, 0.5, 2.0), (0.5, 0.5, 0.0)):
+            with pytest.raises(InvalidInputError):
+                shrinkage_oracle_study(dgp, 5, *knobs)
+
 
 class TestRunMonteCarlo:
     SCENARIO = [("t_learner", "mlr"), ("t_learner", "umlr")]
@@ -306,8 +316,8 @@ class TestPairedBootstrap:
 
     def test_one_propensity_fit_per_resample(self, monkeypatch):
         # per replicate: the full-data fit that x_learner and aipw share in
-        # both modes and DML's five fold fits, each the propensity kernel at
-        # k = 1, then one kernel call covering every resample
+        # both modes (the kernel at k = 1), one kernel call covering DML's
+        # five folds in both modes, then one covering every resample
         calls, kernel = [], []
         fit_propensity, propensity_kernel = estimators.fit_propensity, estimators._propensity_kernel
 
@@ -323,8 +333,8 @@ class TestPairedBootstrap:
         monkeypatch.setattr(estimators, "_propensity_kernel", counted_kernel)
         summaries = run_monte_carlo(self.NULL, self.LEARNER, self.SCENARIO, reps=10, B=self.B)
         assert all(s.n_failed == 0 for s in summaries)
-        assert len(calls) == 10 * 6
-        assert kernel == ([1] * 6 + [self.B]) * 10
+        assert len(calls) == 10
+        assert kernel == [1, 5, self.B] * 10
 
     def flaky_t(self, monkeypatch, umlr_share=0.0, mlr_point_fails=False):
         """Swap in a T-learner that fails in umlr mode on about ``umlr_share``
