@@ -12,7 +12,8 @@ come from the case-resampling bootstrap (:func:`bootstrap_ci`, percentile or
 normal form), except DML, which carries an analytic influence-function
 interval. :func:`resampled_points` evaluates the ridge s/t/x/aipw cells on
 all resamples of a chunk at once, through the count kernels, and
-:func:`dml` fits all folds of a ridge learner at once in the same way.
+:func:`dml` fits the propensities of all folds, and the arm models of a
+ridge learner, at once in the same way.
 
 :data:`ESTIMATORS` is the one place an estimator is registered; the CLI and
 the Monte-Carlo harness both dispatch through it. Estimators run on the same
@@ -284,8 +285,8 @@ class Nuisances:
     Outcome models are keyed by learner config, mode, umlr route and training
     part: ``("arm", a)``, the rows of arm ``a``; ``("fold", folds, k, a)``,
     those outside DML fold ``k``; ``("s",)``, all rows with ``t`` appended.
-    Propensity fits are keyed by ``(l2, clip)`` and the fold left out, and
-    the memo of all DML folds (see :func:`dml`) by ``("cross", folds)``; no
+    Propensity fits are keyed by ``(l2, clip)``, and the memo of all DML
+    folds (see :func:`dml`) by ``("cross", folds)``; no
     key looks at array contents. A fit that raises is not stored. Entries are
     shared between callers, who must not modify them.
 
@@ -391,22 +392,18 @@ class Nuisances:
         _merge(self.status, fits.status)
         return fits.predict(X)
 
-    def propensity(self, l2: float, clip, fold=None) -> np.ndarray:
+    def propensity(self, l2: float, clip) -> np.ndarray:
         """The clipped propensity scores of every row under the full-data
-        fit, or of DML fold ``fold = (folds, k)``'s rows under the fit that
-        leaves them out."""
+        fit, or with counts under each resample's fit, (k, n)."""
         def make():
             X, t = self.data.X, self.data.t
-            if self.c is not None:  # the full-data fit of each resample
-                theta, status = _propensity_kernel(X, t, self.c, l2)
-                _merge(self.status, status)
-                return np.clip(_expit(theta[:, :1] + np.matvec(X, theta[:, 1:])), *clip)
-            if fold is None:
+            if self.c is None:
                 return fit_propensity(X, t, l2=l2, clip=clip).predict_proba(X)
-            test = self.folds(fold[0]) == fold[1]
-            return fit_propensity(X[~test], t[~test], l2=l2, clip=clip).predict_proba(X[test])
+            theta, status = _propensity_kernel(X, t, self.c, l2)
+            _merge(self.status, status)
+            return np.clip(_expit(theta[:, :1] + np.matvec(X, theta[:, 1:])), *clip)
 
-        return self._get(("prop", l2, tuple(clip), fold), make)
+        return self._get(("prop", l2, tuple(clip)), make)
 
 
 def _has_count_kernel(cfg: LearnerConfig) -> bool:
@@ -604,12 +601,13 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
     so the estimate does not depend on how the input rows were arranged, and
     both modes share the memo's fold assignment and propensity fits.
 
-    A learner with a count kernel (ridge, lam > 0) fits all folds at once,
-    on a :class:`Nuisances` memo whose counts row b is fold b's training
-    indicator (1 outside the fold, 0 inside), kept in ``nuis`` for both
-    modes: one ridge kernel call per arm and one propensity kernel call,
-    each fold's scores read at its held-out rows. Other learners fit fold by
-    fold. Either way the first fold that fails, in fold order, raises.
+    The K folds are the K rows of one :class:`Nuisances` memo, counts row
+    b being fold b's training indicator (1 outside the fold, 0 inside), kept
+    in ``nuis`` for both modes: one propensity kernel call fits every fold,
+    and so does one ridge kernel call per arm for a learner with a count
+    kernel (ridge, lam > 0); other learners fit each fold's arm models on
+    its training rows. Each row's scores are those of its own fold's fits,
+    and the first fold that fails, in fold order, raises.
     """
     check_count("folds", folds, 2)
     check_unit("level", level)
@@ -618,36 +616,24 @@ def dml(data: Dataset, cfg: LearnerConfig, mode: str = "mlr", folds: int = 5,
     nuis = nuis or Nuisances(data)
     fold_of = nuis.folds(folds)
     held = fold_of == np.arange(folds)[:, None]  # (folds, n)
-    cross = None
-    if _has_count_kernel(cfg):
-        cross = nuis._get(("cross", folds), lambda: Nuisances(data, (~held).astype(float)))
-        cross.status = _ok(folds)
-        with np.errstate(all="ignore"):  # a thin fold may divide by 0; it raises below
-            m0, m1 = [cross.predictions(cfg, mode, umlr_route, ("arm", arm)) for arm in (0, 1)]
-            e = cross.propensity(l2, clip)
-
-    scores = np.empty(data.n)
-    for k in range(folds):
-        test = held[k]
-        if not np.any(test):
-            continue
+    cross = nuis._get(("cross", folds), lambda: Nuisances(data, (~held).astype(float)))
+    cross.status = _ok(folds)
+    stacked = _has_count_kernel(cfg)
+    own = fold_of, np.arange(data.n)  # each row's values under the fits of its own fold
+    with np.errstate(all="ignore"):  # a thin fold may divide by 0; it raises below
+        e = cross.propensity(l2, clip)[own]
+        m0, m1 = ([cross.predictions(cfg, mode, umlr_route, ("arm", arm))[own] for arm in (0, 1)]
+                  if stacked else (np.empty(data.n), np.empty(data.n)))
+    for k, test in enumerate(held):  # folds <= n rows dealt round-robin: none is empty
         t_train = data.t[~test]
         if np.count_nonzero(t_train == 0) < 2 or np.count_nonzero(t_train == 1) < 2:
-            raise ResamplingError(
-                f"training part of fold {k} has fewer than 2 units in an arm"
-            )
-        if cross is not None:
-            if cross.status[k] is not None:
-                raise cross.status[k]
-            continue
-        test_data = data.subset(np.flatnonzero(test))
-        m0, m1 = [nuis.predictions(cfg, mode, umlr_route, ("fold", folds, k, arm))
-                  for arm in (0, 1)]
-        e = nuis.propensity(l2, clip, (folds, k))
-        scores[test] = aipw_scores(test_data, m0, m1, e)
-    if cross is not None:  # each row's values under the fit of its own fold
-        own = fold_of, np.arange(data.n)
-        scores = _aipw_scores(data, m0[own], m1[own], e[own])
+            raise ResamplingError(f"training part of fold {k} has fewer than 2 units in an arm")
+        if not stacked:
+            m0[test], m1[test] = [nuis.predictions(cfg, mode, umlr_route, ("fold", folds, k, arm))
+                                  for arm in (0, 1)]
+        if cross.status[k] is not None:
+            raise cross.status[k]
+    scores = _aipw_scores(data, m0, m1, e)
 
     point = float(np.mean(scores))
     se = float(np.std(scores, ddof=1) / np.sqrt(data.n))
@@ -753,9 +739,10 @@ def resampled_points(data: Dataset, cells, B: int, seed: int):
                if entry.run in _STACKED and _has_count_kernel(spec.learner)]
     if stacked:
         # a batched ridge solve or a propensity fit stacks (k, p + 2, n) arrays;
-        # above STACK_MAX_P the ridge cells hold about ten (k, n) arrays at once
+        # above STACK_MAX_P the ridge cells hold about ten (k, n) arrays, each of
+        # a third of the budget: fewer, larger chunks form fewer Gram matrices
         props = any(cells[i][0].run in (_run_x, _run_aipw) for i in stacked)
-        width = data.p + 2 if data.p <= STACK_MAX_P or props else 10
+        width = data.p + 2 if data.p <= STACK_MAX_P or props else 3
         chunks = -(-B // max(1, STACK_CELLS // (data.n * width)))
         size = -(-B // chunks)  # chunks of even size
         for lo in range(0, B, size):

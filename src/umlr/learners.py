@@ -33,6 +33,7 @@ so the lasso null threshold is lam_max = max_j |X_j'(y - ybar)| / n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -605,21 +606,17 @@ def _solve(A: np.ndarray, B: np.ndarray):
         return x, singular
 
 
-def _normal_solve(lam, X, c, m, V, dual):
+def _normal_solve(lam, X, c, m, V):
     """Each resample centred at its means, its rows scaled by sqrt(c) into
     Zw (V (k, columns, n) into Vw), rhs = Vw Zw: the solution s (k, q,
-    columns) of (Zw'Zw + lam I) s = rhs', or in the dual s = Zw'a with
-    (Zw Zw' + lam I) a = Vw' (its residual r bounds the primal one by
-    ||Zw||_F ||r||), or least squares at lam = 0; with the means of X, rhs
-    and each column's status."""
+    columns) of (Zw'Zw + lam I) s = rhs', or least squares at lam = 0; with
+    the means of X, rhs and each column's status."""
     k, q = len(c), X.shape[1]
     x_sum = (X[:, :, None] * np.ascontiguousarray(c.T)[:, None, :]).sum(axis=0)  # rows in order
     x_mean = np.ascontiguousarray(x_sum.T) / m[:, None]
     root = np.sqrt(c)
     Zw = X - x_mean[:, None, :]
     Zw *= root[:, :, None]
-    if dual:  # centred, Vw is orthogonal to sqrt(c), the null vector of Zw Zw'
-        V = V - (np.vecdot(V, c[:, None, :]) / m[:, None])[:, :, None]
     Vw = V * root[:, None, :]
     rhs = Vw @ Zw
     status = _ok(V.shape[:2])
@@ -631,18 +628,64 @@ def _normal_solve(lam, X, c, m, V, dual):
                 status[b] = SingularSystemError(
                     "design is rank-deficient and lam = 0; increase lam or drop columns")
         return x_mean, rhs, sol, status
-    ZwT = np.swapaxes(Zw, 1, 2)
-    A, B = (Zw @ ZwT, np.swapaxes(Vw, 1, 2)) if dual else (ZwT @ Zw, np.swapaxes(rhs, 1, 2))
-    norm2 = np.trace(A, axis1=1, axis2=2)[:, None] if dual else 1.0  # ||Zw||_F^2
-    A.reshape(k, -1)[:, ::A.shape[1] + 1] += lam
+    A, B = np.swapaxes(Zw, 1, 2) @ Zw, np.swapaxes(rhs, 1, 2)
+    A.reshape(k, -1)[:, ::q + 1] += lam
     a, singular = _solve(A, B)
+    r = A @ a - B
+    _check_solution(status, singular, np.vecdot(r, r, axis=1), rhs)
+    return x_mean, rhs, a, status
+
+
+def _check_solution(status, singular, resid, rhs) -> None:
+    """Fail the columns of each system LAPACK found ``singular``, then each
+    column whose squared residual of the centred normal equations, or its
+    bound, ``resid`` exceeds RIDGE_RESID_TOL^2 ||rhs||^2 (nan fails)."""
     if singular is not None:
         _fail(status, singular[:, None], SingularSystemError, "Singular matrix")
-    r = A @ a - B
-    resid = np.vecdot(r, r, axis=1) * norm2
     _fail(status, ~(resid <= RIDGE_RESID_TOL**2 * np.maximum(np.vecdot(rhs, rhs), 1e-300)),
-          SingularSystemError, "penalized normal equations solved inaccurately")  # nan fails
-    return x_mean, rhs, ZwT @ a if dual else a, status
+          SingularSystemError, "penalized normal equations solved inaccurately")
+
+
+def _centred_gram(X):
+    """The column means mu of X, X0 = X - mu, and [[X0 X0', 1], [1', 0]]:
+    centred before the product, large column offsets do not cancel in it."""
+    mu = X.mean(axis=0)
+    X0 = X - mu
+    Gb = np.pad(X0 @ X0.T, (0, 1), constant_values=1.0)
+    Gb[-1, -1] = 0.0
+    return mu, X0, Gb
+
+
+def _dual_solve(lam, gram, d, c, m, V):
+    """:func:`_normal_solve` of one resample whose drawn rows ``d`` (counts c,
+    V (columns, d)) are fewer than q, in the kernel-ridge dual with an
+    unpenalized bias (Saunders, Gammerman & Vovk, 1998): with (mu, X0, Gb) =
+    ``gram()``, [[X0_d X0_d' + lam diag(1/c), 1], [1', 0]] [beta; beta0] =
+    [V'; 0] takes its matrix from Gb, s = X0_d' beta, and the same product
+    gives m xb = c'X0_d: the mean mu + xb, rhs = X0_d'(c V') - m xb vbar.
+    Its residual (r1; r2) leaves (Z'CZ + lam I) s - Z'CV' = Z'C r1 + lam r2 xb
+    in the centred normal equations (Z = X0_d - 1 xb', C = diag(c); put in
+    lam beta = C (V' - beta0 - X0_d s + r1) and 1'beta = r2), so the check
+    bounds it by ||sqrt(C) Z||_F ||sqrt(c) r1|| + lam |r2| ||xb||, with
+    ||sqrt(C) Z||_F^2 = c'diag(X0_d X0_d') - m ||xb||^2."""
+    mu, X0, Gb = gram()
+    n, cols = d.size, len(V)
+    at = np.append(d, len(X0))
+    A = Gb.take(at, axis=0).take(at, axis=1)
+    A.reshape(-1)[:-1:n + 2] += lam / c
+    B = np.zeros((n + 1, cols))
+    B[:n] = V.T
+    a, singular = _solve(A[None], B[None])
+    r = A @ a[0] - B
+    prod = np.concatenate([a[0, :n].T, c * V, c[None]]) @ X0.take(d, axis=0)
+    xb = prod[-1] / m
+    rhs = prod[cols:-1] - ((V @ c) / m)[:, None] * prod[-1]
+    zw = np.sqrt(max(c @ Gb.diagonal().take(d) - m * (xb @ xb), 0.0))
+    bound = zw * np.sqrt(c @ np.square(r[:n])) + lam * np.abs(r[n]) * np.sqrt(xb @ xb)
+    status = _ok((1, cols))
+    _check_solution(status, singular, (bound * bound)[None], rhs[None])
+    # laid out as the primal solutions are: predictions sum in the layout's order
+    return (mu + xb)[None], rhs[None], np.ascontiguousarray(prod[:cols].T)[None], status
 
 
 @np.errstate(all="ignore")
@@ -651,19 +694,24 @@ def _ridge_kernel(lam: float, X: np.ndarray, y: np.ndarray, c: np.ndarray,
     """Ridge fits of X (n, q) to y, (n,) or (k, n), under the resamples c:
     ``[plain]``, or given each resample's group r1 ``below`` (k, n), ``[plain,
     under both anchoring constraints]``. Up to STACK_MAX_P columns the k are
-    solved in one batch, above it each on its d drawn rows, in the dual when
-    d < q. The constrained fit moves the plain one along w, the solution for
-    the r1 indicator, until u'b = s (see :func:`fit_constrained_linear`)."""
+    solved in one batch, above it each on its d drawn rows: the q x q primal
+    system when d >= q or lam = 0, else the (d + 1) x (d + 1) bordered dual
+    from the one Gram matrix of the call (:func:`_dual_solve`), a fit at
+    k = 1 with n < q included. The constrained fit moves the plain one along
+    w, the solution for the r1 indicator, until u'b = s (see
+    :func:`fit_constrained_linear`)."""
     c, y = np.ascontiguousarray(c), np.ascontiguousarray(y)  # rows laid out alike for any k
     m = c.sum(axis=1)  # counts: exact in any order
     y_mean = (c * y).sum(axis=1) / m
     yc = y - y_mean[:, None]
     V = yc[:, None, :] if below is None else np.concatenate([yc[:, None, :], below[:, None, :]], 1)
     if X.shape[1] <= STACK_MAX_P:
-        x_mean, rhs, sol, status = _normal_solve(lam, X, c, m, V, False)
+        x_mean, rhs, sol, status = _normal_solve(lam, X, c, m, V)
     else:
+        gram = functools.cache(lambda: _centred_gram(X))  # made for the first dual resample
         x_mean, rhs, sol, status = map(np.concatenate, zip(*(
-            _normal_solve(lam, X[d], cb[None, d], mb[None], vb[None, :, d], d.size < X.shape[1])
+            _dual_solve(lam, gram, d, cb[d], mb, vb[:, d]) if lam > 0 and d.size < X.shape[1]
+            else _normal_solve(lam, X[d], cb[None, d], mb[None], vb[None, :, d])
             for cb, mb, vb in zip(c, m, V) for d in [np.flatnonzero(cb)])))
     coef = sol[:, :, 0]
     fits = [_Fits(coef, y_mean - np.vecdot(x_mean, coef), status[:, 0])]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umlr import (
@@ -72,17 +72,27 @@ class TestPartitionByMean:
         with pytest.raises(DegeneratePartitionError):
             partition_by_mean(y)
 
+    def test_distinct_values_mean_rounded_to_zero(self):
+        # the exact mean -2.5e-324 rounds to -0.0, which is at or above
+        # both values, so the above-mean group is empty
+        y = [0.0, -5e-324]
+        assert np.mean(y) == 0.0
+        with pytest.raises(DegeneratePartitionError, match="above-mean"):
+            partition_by_mean(y)
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=80))
+    @example([0.0, -5e-324])
     def test_partition_invariants(self, values):
         y = np.asarray(values)
-        if np.all(y == y[0]):
+        mean = np.mean(y)
+        # a constant outcome, or a mean rounded to or past every value
+        if np.all(y <= mean) or np.all(y > mean):
             with pytest.raises(DegeneratePartitionError):
                 partition_by_mean(y)
             return
         s = partition_by_mean(y)
         assert s.r1.size and s.r2.size
-        mean = np.mean(y)
         assert np.all(y[s.r1] <= mean)
         assert np.all(y[s.r2] > mean)
         together = np.sort(np.concatenate([s.r1, s.r2]))

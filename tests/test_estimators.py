@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import umlr.estimators as estimators
+import umlr.learners as learners
 import umlr.simulation as simulation
 from umlr import (
     ConvergenceError,
@@ -20,6 +21,7 @@ from umlr import (
     SingularSystemError,
     UnstableBootstrapError,
     aipw,
+    aipw_scores,
     anchor_recalibrate,
     bootstrap_ci,
     dml,
@@ -322,7 +324,8 @@ class TestDml:
     @staticmethod
     def fold_by_fold(monkeypatch, *args, **kwargs):
         """dml on the path of learners without a count kernel: each fold's
-        arm models and propensity fitted on its own training rows."""
+        arm models fitted on its own training rows (the fold propensities
+        come from one kernel call on either path)."""
         with monkeypatch.context() as m:
             m.setattr(estimators, "_has_count_kernel", lambda cfg: False)
             return dml(*args, **kwargs)
@@ -352,6 +355,30 @@ class TestDml:
         for mode in ("mlr", "umlr"):
             dml(d, RIDGE1, mode, folds=5, nuis=nuis)
         assert calls == {"ridge": 2, ("propensity", 5): 1}
+
+    def test_fold_propensities_of_any_learner_come_from_one_kernel_call(self, monkeypatch):
+        # a learner without a count kernel fits its arm models fold by fold,
+        # but all fold propensities at once; each fold's equal the fit on its
+        # training rows up to rounding
+        d = randomized_dataset(n=60, seed=25)
+        lasso = LearnerConfig(kind="lasso", lam=0.05)
+        calls = []
+        kernel = estimators._propensity_kernel
+        monkeypatch.setattr(estimators, "_propensity_kernel",
+                            lambda *a: calls.append(len(a[2])) or kernel(*a))
+        nuis = estimators.Nuisances(d)
+        fold_of = nuis.folds(5)
+        for mode in ("mlr", "umlr"):
+            est = dml(d, lasso, mode, folds=5, nuis=nuis)
+            scores = np.empty(d.n)
+            for k in range(5):
+                test = fold_of == k
+                m0, m1 = [nuis.predictions(lasso, mode, "auto", ("fold", 5, k, arm))
+                          for arm in (0, 1)]
+                e = fit_propensity(d.X[~test], d.t[~test]).predict_proba(d.X[test])
+                scores[test] = aipw_scores(d.subset(np.flatnonzero(test)), m0, m1, e)
+            assert est.point == pytest.approx(scores.mean(), rel=1e-12, abs=0)
+        assert calls == [5] + [1] * 10  # the fold kernel, then the ten references
 
     @pytest.mark.parametrize("mode", ["mlr", "umlr"])
     def test_failing_fold_raises_the_fold_by_fold_class(self, monkeypatch, mode):
@@ -641,6 +668,52 @@ class TestStackedBootstrap:
         assert len(redone) < 200  # the others were evaluated stacked
         for got, ref in zip(points, ref_points):  # some points lie near 0: rounding
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+    def test_wide_columns_with_large_offsets_match_their_own_fits(self, monkeypatch):
+        # covariates far from 0, as raw ages are: the dual resamples' Gram
+        # matrix is formed from centred rows, so no offset cancels in it (one
+        # formed from the raw rows fails most resamples at +100). Far larger offsets
+        # cost every route, the one-by-one fits too, 1e-12 parity: at +1e4
+        # each prediction a + x'b cancels terms about 1e4 times its size.
+        cells = self.cells(wide=True)
+        base = generate_replicate(self.WIDE, 0).data
+        data = Dataset(base.X + 100.0, base.t, base.y)
+        (points, failures), redone = self.redone(monkeypatch, data, cells, 100, 0)
+        assert redone == []
+        ref_points, ref_failures = self.one_by_one(monkeypatch, data, cells, 100, 0)
+        assert failures == ref_failures == [Counter()] * len(cells)
+        for got, ref in zip(points, ref_points):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_wide_resamples_solve_the_smaller_system_of_one_gram_matrix(self, monkeypatch):
+        # d < q drawn rows: one (d + 1) x (d + 1) bordered dual system; d >= q:
+        # the q x q primal one. A kernel call forms one Gram matrix if any of
+        # its resamples needs it, and none otherwise
+        data = generate_replicate(self.WIDE, 0).data
+        calls = []
+        kernel, gram, solve = estimators._ridge_kernel, learners._centred_gram, learners._solve
+
+        def traced_kernel(lam, X, y, c, *rest):
+            calls.append({"q": X.shape[1], "drawn": np.count_nonzero(c, axis=1).tolist(),
+                          "grams": 0, "systems": []})
+            return kernel(lam, X, y, c, *rest)
+
+        def traced_gram(X):
+            calls[-1]["grams"] += 1
+            return gram(X)
+
+        monkeypatch.setattr(estimators, "_ridge_kernel", traced_kernel)
+        monkeypatch.setattr(learners, "_centred_gram", traced_gram)
+        monkeypatch.setattr(learners, "_solve",
+                            lambda A, B: calls[-1]["systems"].append(A.shape) or solve(A, B))
+        resampled_points(data, self.cells(wide=True), 60, 0)
+        for call in calls:
+            q, drawn = call["q"], call["drawn"]
+            assert call["systems"] == [(1, d + 1, d + 1) if d < q else (1, q, q) for d in drawn]
+            assert call["grams"] == int(any(d < q for d in drawn))
+        routes = {(min(call["drawn"]) < call["q"], max(call["drawn"]) >= call["q"])
+                  for call in calls}
+        assert routes == {(True, True), (True, False), (False, True)}
 
     def test_wide_points_do_not_depend_on_the_chunk_size(self, monkeypatch):
         data = generate_replicate(self.WIDE, 0).data

@@ -56,20 +56,21 @@ def cohort(tmp_path_factory):
 
 @pytest.fixture
 def fit_counts(monkeypatch):
-    """Counts the gbt and propensity fits made through the estimators module."""
+    """Counts the gbt fits and the propensity kernel calls made through the
+    estimators module; a kernel call fits one dataset or all DML folds."""
     counts = {"gbt": 0, "propensity": 0}
-    fit, fit_propensity = estimators.fit, estimators.fit_propensity
+    fit, propensity_kernel = estimators.fit, estimators._propensity_kernel
 
     def counted_fit(config, X, y):
         counts[config.kind] = counts.get(config.kind, 0) + 1
         return fit(config, X, y)
 
-    def counted_propensity(*args, **kwargs):
+    def counted_propensity(*args):
         counts["propensity"] += 1
-        return fit_propensity(*args, **kwargs)
+        return propensity_kernel(*args)
 
     monkeypatch.setattr(estimators, "fit", counted_fit)
-    monkeypatch.setattr(estimators, "fit_propensity", counted_propensity)
+    monkeypatch.setattr(estimators, "_propensity_kernel", counted_propensity)
     return counts
 
 
@@ -88,10 +89,10 @@ def test_each_point_nuisance_is_fitted_once(cohort, tmp_path, fit_counts):
     args = ("--estimator", "t,x,aipw,dml,psm", "--mode", "both", "--bootstrap", "0")
     estimate(cohort, tmp_path, *args)
     # two arm models, two stage-2 pairs of the x-learner, 5 folds x 2 arms
-    # for DML; one full-data and five fold propensity fits
-    assert fit_counts == {"gbt": 16, "propensity": 6}
+    # for DML; the full-data propensity fit and one kernel call for DML's folds
+    assert fit_counts == {"gbt": 16, "propensity": 2}
     estimate(cohort, tmp_path, *args)  # nothing is kept between calls
-    assert fit_counts == {"gbt": 32, "propensity": 12}
+    assert fit_counts == {"gbt": 32, "propensity": 4}
 
 
 def test_bootstrap_shares_one_memo_per_resample(cohort, tmp_path, fit_counts):
