@@ -353,8 +353,7 @@ class Nuisances:
             if route == "anchored" or (route == "auto" and mode == "umlr" and cfg.kind == "gbt"):
                 base = self.model(cfg, "mlr", "auto", part)
                 if c is None:  # gbt keeps its training predictions; a linear fit makes them
-                    return _anchor(base, base.predict(X) if base.train_pred is None
-                                   else base.train_pred, y)
+                    return _anchor(base, base.fitted(X), y)
                 a, b, _, _, status = _anchor_kernel(base.predict(X), y, c, below, LINEAR_GROUP_TOL)
                 _merge(self.status, status)
                 return base._replace(anchor=(a[:, None], b[:, None]))
@@ -460,8 +459,8 @@ def _arm_models(nuis: Nuisances, spec: EstimatorSpec, diagnostics: bool):
     diag = None
     if diagnostics:
         X, y = nuis.data.X, nuis.data.y
-        diag = {"mu0": _safe_report(y[control], model0.predict(X[control])),
-                "mu1": _safe_report(y[treated], model1.predict(X[treated]))}
+        diag = {"mu0": _safe_report(y[control], model0.fitted(X[control])),
+                "mu1": _safe_report(y[treated], model1.fitted(X[treated]))}
     return control, treated, model0, model1, diag
 
 

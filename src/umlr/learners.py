@@ -71,6 +71,7 @@ ANCHOR_DET_TOL = 1e-12  # x the scale of the 2x2 anchoring system
 # Designs of at most this many columns solve the ridge fits of all stacked
 # resamples in one batch; wider ones fit each resample on its distinct rows.
 STACK_MAX_P = 32
+PREDICT_BLOCK_CELLS = 2**14  # trees x rows that a tree ensemble's prediction routes at once
 _INFEASIBLE = ("anchoring constraints infeasible: the below-mean group "
                "has the covariate means of the whole sample")
 _EMPTY = "an anchoring group of the resample is empty; cannot form two anchoring groups"
@@ -107,19 +108,6 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:  # routes all rows down one level per pass
-            feat = self.feature[node]
-            active = feat >= 0
-            if not np.any(active):
-                break
-            idx = np.flatnonzero(active)
-            f = feat[idx]
-            go_left = X[idx, f] <= self.threshold[node[idx]]
-            node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
-        return self.value[node]
-
 
 @dataclass(frozen=True)
 class FittedModel:
@@ -142,6 +130,7 @@ class FittedModel:
     group_tol: float | None = None
     # a tree ensemble's plain predictions at its training rows, kept from boosting
     train_pred: np.ndarray | None = field(default=None, repr=False, compare=False)
+    forest: tuple | None = field(default=None, repr=False, compare=False)  # see _forest
 
     def __post_init__(self):
         if self.group_residual_sums is not None:
@@ -164,11 +153,27 @@ class FittedModel:
     def _base_predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef is not None:
             return self.intercept + X @ self.coef
-        out = np.full(X.shape[0], self.init_value, dtype=float)
-        lr = self.config.learning_rate
-        for tree in self.trees:
-            out += lr * tree.predict(X)
+        # a block of trees routes every row one level per pass, X[i, j] being
+        # flat[offset[i] + j]; then each tree's values are added in tree order
+        roots, feature, threshold, left, right, value = self.forest
+        out, flat, offset = np.full(len(X), self.init_value), X.ravel(), np.arange(len(X)) * self.p
+        block = max(1, PREDICT_BLOCK_CELLS // max(len(X), 1))
+        for start in range(0, roots.size, block):
+            node = np.repeat(roots[start:start + block, None], len(X), axis=1)  # (trees, rows)
+            for _ in range(self.config.max_depth if self.p else 0):
+                node = np.where(flat.take(offset + feature.take(node)) <= threshold.take(node),
+                                left.take(node), right.take(node))
+            for v in value.take(node):
+                out += v
         return out
+
+    def fitted(self, X) -> np.ndarray:
+        """``predict(X)`` at the training rows X: the same numbers, which a tree
+        ensemble kept from boosting."""
+        return self.predict(X) if self.train_pred is None else self._anchored(self.train_pred)
+
+    def _anchored(self, out: np.ndarray) -> np.ndarray:
+        return out if self.anchor is None else self.anchor[0] + self.anchor[1] * out
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -176,13 +181,7 @@ class FittedModel:
             raise InvalidInputError(
                 f"X must have shape (m, {self.p}), got {X.shape}"
             )
-        if X.shape[0] == 0:
-            return np.empty(0)
-        out = self._base_predict(X)
-        if self.anchor is not None:
-            a, b = self.anchor
-            out = a + b * out
-        return out
+        return np.empty(0) if X.shape[0] == 0 else self._anchored(self._base_predict(X))
 
 
 # ---------------------------------------------------------------------------
@@ -282,115 +281,117 @@ def _fit_lasso(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedMod
     return FittedModel(config=config, p=p, coef=coef, intercept=float(intercept))
 
 
-def _best_split(xs: np.ndarray, rs: np.ndarray, min_leaf: int):
-    """Exact greedy split of one node; returns (feature, threshold) or None.
-
-    ``xs`` and ``rs`` are (p, m): row j holds the node's values of feature j
-    and their residuals in stable ascending order of that feature. Among
-    equal scores the first candidate in (position, feature) order wins.
-    """
-    p, m = xs.shape
-    if m < 2 * min_leaf:
+def _best_split(rs: np.ndarray, min_leaf: int, xs: np.ndarray | None):
+    """Exact greedy split of one node: (j, i) to cut feature j after sorted
+    position i, or None. ``rs`` and ``xs`` are (p, m): row j holds the node's
+    residuals and values of feature j in stable ascending order of that
+    feature. No cut falls between equal values; ``xs`` is None when no row
+    repeats one. Among equal scores the first candidate in (position,
+    feature) order wins."""
+    p, m = rs.shape
+    if m < 2 * min_leaf or p == 0:
         return None
-    cs = np.cumsum(rs, axis=1)
-    total = cs[:, -1:]
+    cs = np.empty((m, p))
+    np.cumsum(rs, axis=1, out=cs.T)  # each feature's running sum, in sorted order
+    total = cs[-1]
     # a cut after sorted position i leaves k = i + 1 rows on the left; only
     # positions with min_leaf <= k <= m - min_leaf are candidates
     lo, hi = min_leaf - 1, m - min_leaf
-    left = cs[:, lo:hi]
-    k = np.arange(min_leaf, hi + 1, dtype=float)
+    left = cs[lo:hi]
+    k = np.arange(min_leaf, hi + 1, dtype=float)[:, None]
     score = np.square(left)  # left**2 / k + (total - left)**2 / (m - k), in place
     score /= k
     right = np.subtract(total, left)
     np.square(right, out=right)
     right /= m - k
     score += right
-    valid = xs[:, lo + 1 : hi + 1] > xs[:, lo:hi]
-    if not valid.all():
+    if xs is not None and not (valid := xs[:, lo + 1 : hi + 1] > xs[:, lo:hi]).all():
         if not valid.any():
             return None
-        score = np.where(valid, score, -np.inf)
-    i, j = divmod(int(np.argmax(score.T)), p)
-    gain = score[j, i] - (total[j, 0] ** 2) / m
-    if gain <= 0.0:
-        return None
-    i += lo
-    thr = 0.5 * (xs[j, i] + xs[j, i + 1])
-    return j, float(thr)
+        score[~valid.T] = -np.inf
+    i, j = divmod(int(np.argmax(score)), p)
+    gain = score[i, j] - (total[j] ** 2) / m
+    return None if gain <= 0.0 else (j, i + lo)
 
 
-def _grow_tree(X: np.ndarray, order: np.ndarray, xs: np.ndarray, r: np.ndarray,
+def _grow_tree(xt: np.ndarray, order: np.ndarray, xs: np.ndarray | None, r: np.ndarray,
                pred: np.ndarray, config: LearnerConfig) -> _Tree:
     """Grow one tree on residuals ``r`` and add its scaled leaf values to
     ``pred`` in place.
 
-    ``order`` (p, n) holds every column's stable argsort and ``xs`` the
-    matching sorted values. Each node carries its rows in increasing order
-    and its slice of ``order``/``xs``; a split partitions them with a row
-    mask, which keeps every column sorted with ties in row order, so no node
-    sorts again.
+    ``xt`` (p, n) holds the design's columns, ``order`` their stable argsorts
+    and ``xs`` the sorted values, or None when no column has tied values.
+    Each node carries its rows in increasing order and its slice of
+    ``order``/``xs``; a split partitions them by side, which keeps every
+    column sorted with ties in row order, so no node sorts again.
     """
     max_depth, min_leaf, lr = config.max_depth, config.min_leaf, config.learning_rate
-    p = X.shape[1]
-    in_left = np.zeros(X.shape[0], dtype=bool)
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    p, n = xt.shape
+    leaf_of = np.empty(n, dtype=np.int64)
+    feature, threshold, left, right, value = columns = [], [], [], [], []
 
     def build(rows: np.ndarray, idx, xv, depth: int) -> int:
         # idx/xv are None for a node too deep or too small to split
-        node = add_node()
-        split = None if idx is None else _best_split(xv, r[idx], min_leaf)
+        node = len(feature)
+        for column, blank in zip(columns, (-1, 0.0, -1, -1, 0.0)):  # a leaf until split
+            column.append(blank)
+        split = None if idx is None else _best_split(r.take(idx), min_leaf, xv)
         if split is None:
-            leaf = float(r[rows].sum() / rows.size)  # what np.mean computes
-            value[node] = leaf
-            pred[rows] += lr * leaf
+            value[node] = float(r[rows].sum() / rows.size)  # what np.mean computes
+            leaf_of[rows] = node
             return node
-        j, thr = split
-        go_left = X[rows, j] <= thr
-        feature[node] = j
-        threshold[node] = thr
-        in_left[rows] = go_left
-        sel = in_left[idx]
-        for links, keep, cols in ((left, go_left, sel), (right, ~go_left, ~sel)):
+        j, i = split
+        a, b = xt[j].take(idx[j, i:i + 2])  # the values either side of the cut
+        thr = float(0.5 * (a + b))
+        feature[node], threshold[node] = j, thr
+        go_left = xt[j].take(rows) <= thr
+        # the entries of idx that go left, when a child can split
+        sel = xt[j].take(idx.ravel()) <= thr if depth + 1 < max_depth else None
+        for links, keep, side in ((left, go_left, True), (right, ~go_left, False)):
             sub, sub_idx, sub_xv = rows[keep], None, None
-            if depth + 1 < max_depth and sub.size >= 2 * min_leaf:
-                pos = np.flatnonzero(cols)  # same order as boolean indexing, faster
-                sub_idx, sub_xv = idx.take(pos).reshape(p, -1), xv.take(pos).reshape(p, -1)
+            if sel is not None and sub.size >= 2 * min_leaf:
+                pos = (sel if side else ~sel).nonzero()[0]  # the order boolean indexing takes
+                sub_idx = idx.take(pos).reshape(p, -1)
+                sub_xv = None if xv is None else xv.take(pos).reshape(p, -1)
             links[node] = build(sub, sub_idx, sub_xv, depth + 1)
         return node
 
-    build(np.arange(X.shape[0]), order, xs, 0)
-    return _Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value),
-    )
+    build(np.arange(n), order, xs, 0)
+    value = np.asarray(value)
+    pred += (lr * value).take(leaf_of)  # each row's one add of lr * its leaf's value
+    return _Tree(np.asarray(feature, dtype=np.int64), np.asarray(threshold),
+                 np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64), value)
+
+
+def _forest(trees: list[_Tree], lr: float) -> tuple[np.ndarray, ...]:
+    """All ``trees`` as one array of nodes: the roots, and per node its feature,
+    threshold, children and ``lr`` * value; a leaf routes to itself on feature 0."""
+    sizes = [t.value.size for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, value = map(np.concatenate, zip(*(
+        (t.feature, t.threshold, t.left, t.right, t.value) for t in trees)))
+    leaf, node, shift = feature < 0, np.arange(feature.size), np.repeat(roots, sizes)
+    return (roots, np.where(leaf, 0, feature), threshold, np.where(leaf, node, left + shift),
+            np.where(leaf, node, right + shift), lr * value)
 
 
 def _fit_gbt(config: LearnerConfig, X: np.ndarray, y: np.ndarray) -> FittedModel:
     n, p = X.shape
-    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-    xs = X[order, np.arange(p)[:, None]]
+    xt = np.ascontiguousarray(X.T)
+    order = np.argsort(xt, axis=1, kind="stable")
+    xs = np.take_along_axis(xt, order, axis=1)
+    if not (xs[:, 1:] == xs[:, :-1]).any():  # a column with no ties has none at any node
+        xs = None
     init = float(y.mean())
     pred = np.full(n, init)
-    trees = []
-    mse_path = []
+    trees, mse_path = [], []
     with np.errstate(invalid="ignore"):  # inf - inf in split scores of overflowing residuals
         for _ in range(config.n_trees):
-            resid = y - pred
-            trees.append(_grow_tree(X, order, xs, resid, pred, config))
+            trees.append(_grow_tree(xt, order, xs, y - pred, pred, config))
             mse_path.append(float(np.mean((y - pred) ** 2)))
     return FittedModel(config=config, p=p, trees=tuple(trees), init_value=init,
-                       train_mse_path=tuple(mse_path), train_pred=pred)
+                       train_mse_path=tuple(mse_path), train_pred=pred,
+                       forest=_forest(trees, config.learning_rate))
 
 
 def fit(config: LearnerConfig, X, y) -> FittedModel:

@@ -20,7 +20,8 @@ from umlr import (
     fit_constrained_linear,
     partition_by_mean,
 )
-from umlr.learners import GBT_GROUP_TOL, LASSO_COEF_TOL, LINEAR_GROUP_TOL, _best_split
+from umlr.learners import (GBT_GROUP_TOL, LASSO_COEF_TOL, LINEAR_GROUP_TOL, PREDICT_BLOCK_CELLS,
+                           _best_split)
 
 RIDGE0 = LearnerConfig(kind="ridge", lam=0.0)
 
@@ -312,6 +313,14 @@ class TestGbt:
         assert tree.feature[0] == 0
         assert 2.0 <= tree.threshold[0] <= 3.0
 
+    def test_no_columns_fits_the_mean(self):
+        # like ridge and lasso without columns: every tree is one leaf
+        cfg = LearnerConfig(kind="gbt", n_trees=3)
+        m = fit(cfg, np.zeros((20, 0)), np.arange(20.0))
+        assert [tree.feature.tolist() for tree in m.trees] == [[-1]] * 3
+        assert np.array_equal(m.predict(np.zeros((4, 0))), np.full(4, 9.5))
+        assert np.array_equal(m.train_pred, np.full(20, 9.5))
+
 
 def gbt_digest(model) -> str:
     """sha256 over every tree's arrays and the training-loss path."""
@@ -391,13 +400,50 @@ class TestGbtGolden:
         cfg, X, y = GBT_GOLDEN[case][0]()
         m = fit(cfg, X, y)
         assert m.train_mse_path[-1] == float(np.mean((y - m.predict(X)) ** 2))
+        assert np.array_equal(m.train_pred, m.predict(X))
+
+    @pytest.mark.parametrize("case", sorted(GBT_GOLDEN))
+    def test_block_routing_matches_tree_by_tree(self, case):
+        # around the row counts where the block of trees routed at once
+        # shrinks: all trees, one tree fewer, one tree per block
+        cfg, X, y = GBT_GOLDEN[case][0]()
+        m = fit(cfg, X, y)
+        all_trees = PREDICT_BLOCK_CELLS // cfg.n_trees
+        splits = [(f, t) for tree in m.trees
+                  for f, t in zip(tree.feature, tree.threshold) if f >= 0]
+        rng = np.random.default_rng(14)
+        for rows in (0, 1, all_trees, all_trees + 1, PREDICT_BLOCK_CELLS - 1,
+                     PREDICT_BLOCK_CELLS, PREDICT_BLOCK_CELLS + 1):
+            Xq = rng.standard_normal((rows, X.shape[1]))
+            Xq[::3] = X[rng.integers(len(X), size=len(Xq[::3]))]  # training rows
+            for i in range(1, rows, 3):  # a value equal to a threshold goes left
+                f, t = splits[i % len(splits)]
+                Xq[i, f] = t
+            assert np.array_equal(m._base_predict(Xq), predict_tree_by_tree(m, Xq)), rows
+
+
+def predict_tree_by_tree(model, X):
+    """The ensemble's plain predictions one tree at a time: each tree routes
+    the rows still at internal nodes down one level per pass, and the
+    learning rate times its leaf values is added in tree order."""
+    out = np.full(X.shape[0], model.init_value, dtype=float)
+    for tree in model.trees:
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while True:
+            idx = np.flatnonzero(tree.feature[node] >= 0)
+            if idx.size == 0:
+                break
+            go_left = X[idx, tree.feature[node[idx]]] <= tree.threshold[node[idx]]
+            node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
+        out += model.config.learning_rate * tree.value[node]
+    return out
 
 
 def best_split_reference(xs, rs, min_leaf):
-    """:func:`_best_split` candidate by candidate in Python floats: running
-    sums, the same score expression, the first maximum in (position,
-    feature) order, None when no candidate is valid or the gain is not
-    positive."""
+    """:func:`cut` of :func:`_best_split`, candidate by candidate in Python
+    floats: running sums, the same score expression, the first maximum in
+    (position, feature) order, None when no candidate is valid or the gain
+    is not positive."""
     p, m = xs.shape
     if m < 2 * min_leaf:
         return None
@@ -427,6 +473,15 @@ def best_split_reference(xs, rs, min_leaf):
     return j, float(0.5 * (xs[j, i] + xs[j, i + 1]))
 
 
+def cut(xs, split):
+    """The (feature, threshold) of a :func:`_best_split` result: the midpoint
+    of the values either side of the cut, as the grower takes it."""
+    if split is None:
+        return None
+    j, i = split
+    return j, float(0.5 * (xs[j, i] + xs[j, i + 1]))
+
+
 def _sorted_node(X, r):
     order = np.argsort(X, axis=0, kind="stable").T
     return X[order, np.arange(X.shape[1])[:, None]], r[order]
@@ -451,15 +506,20 @@ class TestBestSplit:
             if trial % 7 == 0:
                 r = np.round(r, 0)
             xs, rs = _sorted_node(X, r)
-            assert _best_split(xs, rs, min_leaf) == best_split_reference(xs, rs, min_leaf)
+            expected = best_split_reference(xs, rs, min_leaf)
+            assert cut(xs, _best_split(rs, min_leaf, xs)) == expected
+            if not (xs[:, 1:] == xs[:, :-1]).any():  # a fit with no ties skips the check
+                assert cut(xs, _best_split(rs, min_leaf, None)) == expected
 
     def test_no_valid_candidate_or_no_gain(self):
         xs, rs = _sorted_node(np.full((10, 2), 3.0), np.arange(10.0))
-        assert _best_split(xs, rs, 2) is None  # every column is constant
+        assert _best_split(rs, 2, xs) is None  # every column is constant
         xs, rs = _sorted_node(np.arange(10.0)[:, None], np.zeros(10))
-        assert _best_split(xs, rs, 2) is None  # zero residuals: no gain
+        assert _best_split(rs, 2, None) is None  # zero residuals: no gain
         xs, rs = _sorted_node(np.arange(5.0)[:, None], np.arange(5.0))
-        assert _best_split(xs, rs, 3) is None  # m < 2 min_leaf
+        assert _best_split(rs, 3, None) is None  # m < 2 min_leaf
+        xs, rs = _sorted_node(np.zeros((10, 0)), np.arange(10.0))
+        assert _best_split(rs, 2, None) is None  # no columns
 
 
 class TestPredict:

@@ -20,6 +20,7 @@ from umlr import (
     fit_constrained_linear,
 )
 from umlr.cli import load_csv, main
+from umlr.diagnostics import evaluate_predictions
 from umlr.estimators import ESTIMATORS, EstimatorSpec, Nuisances, bootstrap_ci, dml, t_learner
 
 GBT = LearnerConfig(kind="gbt", n_trees=5)
@@ -134,23 +135,34 @@ def test_anchored_model_wraps_the_plain_fit(fit_counts):
 
 
 def test_anchored_gbt_arm_reuses_the_training_predictions(monkeypatch):
-    # boosting already predicted every training row; anchoring the arm must
-    # not route those rows through the trees again, nor move the layer
+    # boosting already predicted every training row; anchoring the arm, and
+    # the diagnostics of the arm fits, must not route those rows through the
+    # trees again, nor move a number
     rng = np.random.default_rng(1)
     X = rng.standard_normal((60, 3))
     t = np.arange(60) % 2
     data = Dataset(X, t, X[:, 0] + t + rng.standard_normal(60))
     nuis = Nuisances(data)
     plain = nuis.model(GBT, "mlr", "auto", ("arm", 1))
-    passes = []
-    tree_predict = learners._Tree.predict
-    monkeypatch.setattr(learners._Tree, "predict",
-                        lambda tree, rows: passes.append(len(rows)) or tree_predict(tree, rows))
+    passes = []  # rows of each pass through the ensemble
+    base_predict = learners.FittedModel._base_predict
+    monkeypatch.setattr(learners.FittedModel, "_base_predict",
+                        lambda model, rows: passes.append(len(rows)) or base_predict(model, rows))
     anchored = nuis.model(GBT, "umlr", "anchored", ("arm", 1))
     assert passes == []
     rows = data.arm_indices(1)
     assert anchored.anchor == anchor_recalibrate(plain, X[rows], data.y[rows]).anchor
-    assert passes == [rows.size] * GBT.n_trees  # what the public function costs
+    assert passes == [rows.size]  # what the public function costs
+    passes.clear()
+    estimates = [t_learner(data, GBT, mode, "anchored", with_diagnostics=True, nuis=nuis)[2]
+                 for mode in ("mlr", "umlr")]
+    assert passes == [data.n, data.n]  # each arm's plain predictions, shared by both modes
+    monkeypatch.undo()
+    for mode, est in zip(("mlr", "umlr"), estimates):
+        for arm in (0, 1):
+            model, rows = nuis.model(GBT, mode, "anchored", ("arm", arm)), data.arm_indices(arm)
+            assert est.diagnostics[f"mu{arm}"] == evaluate_predictions(data.y[rows],
+                                                                      model.predict(X[rows]))
 
 
 def test_failed_fit_is_not_stored(fit_counts):
