@@ -27,6 +27,7 @@ import dataclasses
 import datetime
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -61,9 +62,18 @@ _SHORT_NAMES = ",".join(min((name, *entry.aliases), key=len)
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, text: str):
+    """Write a temporary file and rename it over ``path``, with the mode that
+    ``open(path, "w")`` leaves, not mkstemp's 0o600."""
     d = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".umlr-tmp-")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -139,6 +139,8 @@ def counterfactual_slopes(data: Dataset, mu0_star, mu1_star, model0,
             "they are not computable on real data"
         )
     ref0, ref1 = np.asarray(mu0_star, dtype=float), np.asarray(mu1_star, dtype=float)
+    if not all(ref.shape == (data.n,) and np.isfinite(ref).all() for ref in (ref0, ref1)):
+        raise InvalidInputError(f"mu0_star and mu1_star must be finite, of length {data.n}")
     treated = data.arm_indices(1)
     control = data.arm_indices(0)
     if treated.size == 0 or control.size == 0:

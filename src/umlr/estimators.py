@@ -338,20 +338,27 @@ class Nuisances:
             rows = np.flatnonzero((t == part[3]) & (self.folds(part[1]) != part[2]))
         return X[rows], y[rows], None if self.c is None else np.ascontiguousarray(self.c[:, rows])
 
+    def _route(self, mode: str, umlr_route: str) -> str:
+        """The route a fit is keyed by: "auto" for a plain fit, except on a
+        counts memo the anchored route's, whose kernel call solves no
+        constrained fit."""
+        own = mode == "umlr" or self.c is not None and umlr_route == "anchored"
+        return umlr_route if own else "auto"
+
     def model(self, cfg: LearnerConfig, mode: str, umlr_route: str, part):
         """The outcome model of ``part``, a FittedModel, or with counts the
         kernel's fits; the "auto" umlr route is constrained for ridge and
         lasso, anchored (wrapping the plain fit) for gbt. A constrained lasso
         warm-starts from the memo's plain fit, so each lasso is fitted once."""
-        route = umlr_route if mode == "umlr" else "auto"
+        route = self._route(mode, umlr_route)
 
         def make():
             check_choice("mode", mode, MODES)
             check_choice("umlr_route", umlr_route, UMLR_ROUTES)
             X, y, c = self._training(part)
             below = None if c is None else y <= ((c * y).sum(axis=1) / c.sum(axis=1))[:, None]
-            if route == "anchored" or (route == "auto" and mode == "umlr" and cfg.kind == "gbt"):
-                base = self.model(cfg, "mlr", "auto", part)
+            if mode == "umlr" and (route == "anchored" or route == "auto" and cfg.kind == "gbt"):
+                base = self.model(cfg, "mlr", "anchored", part)
                 if c is None:  # gbt keeps its training predictions; a linear fit makes them
                     return _anchor(base, base.fitted(X), y)
                 a, b, _, _, status = _anchor_kernel(base.predict(X), y, c, below, LINEAR_GROUP_TOL)
@@ -362,7 +369,9 @@ class Nuisances:
                     return fit(cfg, X, y)
                 plain = self.model(cfg, "mlr", "auto", part) if cfg.kind == "lasso" else None
                 return fit_constrained_linear(cfg, X, y, plain=plain)
-            fits = self._get(("fits", cfg, part), lambda: _ridge_kernel(cfg.lam, X, y, c, below))
+            both = route != "anchored"  # only a route that reads the constrained fit solves it
+            fits = self._get(("fits", cfg, part, both),
+                             lambda: _ridge_kernel(cfg.lam, X, y, c, below if both else None))
             _merge(self.status, fits[mode == "umlr"].status)
             return fits[mode == "umlr"]
 
@@ -376,11 +385,11 @@ class Nuisances:
             model = self.model(cfg, mode, umlr_route, part)
             if model.anchor is not None:
                 a, b = model.anchor
-                return a + b * self.predictions(cfg, "mlr", "auto", part)
+                return a + b * self.predictions(cfg, "mlr", "anchored", part)
             X = self.data.X
             return model.predict(X if part[0] == "arm" else X[self.folds(part[1]) == part[2]])
 
-        return self._get(("pred", cfg, mode, umlr_route if mode == "umlr" else "auto", part), make)
+        return self._get(("pred", cfg, mode, self._route(mode, umlr_route), part), make)
 
     def refit(self, cfg: LearnerConfig, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
         """The plain fit of ``target`` on ``rows``, predicted at every row."""

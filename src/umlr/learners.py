@@ -33,7 +33,6 @@ so the lasso null threshold is lam_max = max_j |X_j'(y - ybar)| / n.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -633,87 +632,99 @@ def _normal_solve(lam, X, c, m, V):
     A.reshape(k, -1)[:, ::q + 1] += lam
     a, singular = _solve(A, B)
     r = A @ a - B
-    _check_solution(status, singular, np.vecdot(r, r, axis=1), rhs)
-    return x_mean, rhs, a, status
+    return x_mean, rhs, a, _check_solution(singular, np.vecdot(r, r, axis=1), rhs)
 
 
-def _check_solution(status, singular, resid, rhs) -> None:
-    """Fail the columns of each system LAPACK found ``singular``, then each
-    column whose squared residual of the centred normal equations, or its
-    bound, ``resid`` exceeds RIDGE_RESID_TOL^2 ||rhs||^2 (nan fails)."""
+def _check_solution(singular, resid, rhs) -> np.ndarray:
+    """The status of each column of each system: failed where LAPACK found
+    the system ``singular``, then where the squared residual of the centred
+    normal equations, or its bound, ``resid`` exceeds RIDGE_RESID_TOL^2
+    ||rhs||^2 (nan fails)."""
+    status = _ok(resid.shape)
     if singular is not None:
         _fail(status, singular[:, None], SingularSystemError, "Singular matrix")
     _fail(status, ~(resid <= RIDGE_RESID_TOL**2 * np.maximum(np.vecdot(rhs, rhs), 1e-300)),
           SingularSystemError, "penalized normal equations solved inaccurately")
+    return status
 
 
 def _centred_gram(X):
     """The column means mu of X, X0 = X - mu, and [[X0 X0', 1], [1', 0]]:
     centred before the product, large column offsets do not cancel in it."""
-    mu = X.mean(axis=0)
+    mu, n = X.mean(axis=0), len(X)
     X0 = X - mu
-    Gb = np.pad(X0 @ X0.T, (0, 1), constant_values=1.0)
-    Gb[-1, -1] = 0.0
+    Gb = np.empty((n + 1, n + 1))
+    np.matmul(X0, X0.T, out=Gb[:n, :n])
+    Gb[n], Gb[:n, n], Gb[n, n] = 1.0, 1.0, 0.0
     return mu, X0, Gb
 
 
-def _dual_solve(lam, gram, d, c, m, V):
-    """:func:`_normal_solve` of one resample whose drawn rows ``d`` (counts c,
-    V (columns, d)) are fewer than q, in the kernel-ridge dual with an
-    unpenalized bias (Saunders, Gammerman & Vovk, 1998): with (mu, X0, Gb) =
-    ``gram()``, [[X0_d X0_d' + lam diag(1/c), 1], [1', 0]] [beta; beta0] =
-    [V'; 0] takes its matrix from Gb, s = X0_d' beta, and the same product
-    gives m xb = c'X0_d: the mean mu + xb, rhs = X0_d'(c V') - m xb vbar.
-    Its residual (r1; r2) leaves (Z'CZ + lam I) s - Z'CV' = Z'C r1 + lam r2 xb
-    in the centred normal equations (Z = X0_d - 1 xb', C = diag(c); put in
-    lam beta = C (V' - beta0 - X0_d s + r1) and 1'beta = r2), so the check
-    bounds it by ||sqrt(C) Z||_F ||sqrt(c) r1|| + lam |r2| ||xb||, with
-    ||sqrt(C) Z||_F^2 = c'diag(X0_d X0_d') - m ||xb||^2."""
-    mu, X0, Gb = gram()
-    n, cols = d.size, len(V)
-    at = np.append(d, len(X0))
-    A = Gb.take(at, axis=0).take(at, axis=1)
-    A.reshape(-1)[:-1:n + 2] += lam / c
-    B = np.zeros((n + 1, cols))
-    B[:n] = V.T
-    a, singular = _solve(A[None], B[None])
-    r = A @ a[0] - B
-    prod = np.concatenate([a[0, :n].T, c * V, c[None]]) @ X0.take(d, axis=0)
-    xb = prod[-1] / m
-    rhs = prod[cols:-1] - ((V @ c) / m)[:, None] * prod[-1]
-    zw = np.sqrt(max(c @ Gb.diagonal().take(d) - m * (xb @ xb), 0.0))
-    bound = zw * np.sqrt(c @ np.square(r[:n])) + lam * np.abs(r[n]) * np.sqrt(xb @ xb)
-    status = _ok((1, cols))
-    _check_solution(status, singular, (bound * bound)[None], rhs[None])
-    # laid out as the primal solutions are: predictions sum in the layout's order
-    return (mu + xb)[None], rhs[None], np.ascontiguousarray(prod[:cols].T)[None], status
+def _wide_solve(lam, X, c, m, V):
+    """:func:`_normal_solve` of each resample on its d drawn rows alone: the
+    q x q primal system when d >= q or lam = 0, else the kernel-ridge dual
+    with an unpenalized bias (Saunders, Gammerman & Vovk, 1998), [[X0_d X0_d'
+    + lam diag(1/c), 1], [1', 0]] [beta; beta0] = [V'; 0], whose matrix is
+    taken from Gb of the call's one :func:`_centred_gram` (mu, X0, Gb). A dual
+    resample's own work is its LU solve and residual (r1; r2); the rest is
+    done for all at once, beta and r scattered over the rows of X: one
+    product [beta; cV; c] X0 per resample gives s = X0'beta and m xb = c'X0,
+    the mean mu + xb, rhs = X0'(c V') - m xb vbar. The residual leaves (Z'CZ
+    + lam I) s - Z'CV' = Z'C r1 + lam r2 xb in the centred normal equations
+    (Z = X0 - 1 xb', C = diag(c); put in lam beta = C (V' - beta0 - X0 s +
+    r1) and 1'beta = r2), so the check bounds it by ||sqrt(C) Z||_F ||sqrt(c)
+    r1|| + lam |r2| ||xb||, with ||sqrt(C) Z||_F^2 = c'diag(X0 X0') - m ||xb||^2."""
+    (k, cols, n), q = V.shape, X.shape[1]
+    x_mean, rhs, status = np.empty((k, q)), np.empty((k, cols, q)), _ok((k, cols))
+    sol = np.empty((k, q, cols))  # laid out as a stacked solve's: predictions sum in its order
+    dual = (np.count_nonzero(c, axis=1) < q) & (lam > 0)
+    mu, X0, Gb = _centred_gram(X) if dual.any() else (None,) * 3
+    beta, r = np.zeros((2, dual.sum(), cols, n + 1))  # on the rows of X, then the bias
+    singular = np.zeros(len(beta), dtype=bool)
+    for b, j in zip(range(k), np.cumsum(dual) - 1):
+        d = np.flatnonzero(c[b])
+        if not dual[b]:
+            x_mean[b], rhs[b], sol[b], status[b] = (v[0] for v in _normal_solve(
+                lam, X[d], c[None, b, d], m[None, b], V[None, b][:, :, d]))
+            continue
+        at = np.append(d, n)
+        A = Gb[at][:, at]
+        np.einsum("ii->i", A)[:-1] += lam / c[b, d]  # the diagonal's view in any layout
+        B = np.append(V[b][:, d].T, np.zeros((1, cols)), axis=0)
+        a, failed = _solve(A[None], B[None])
+        beta[j][:, at], r[j][:, at], singular[j] = a[0].T, (A @ a[0] - B).T, failed is not None
+    if not dual.any():
+        return x_mean, rhs, sol, status
+    cd, Vd, md = c[dual], V[dual], m[dual]
+    prod = np.concatenate([beta[:, :, :n], cd[:, None] * Vd, cd[:, None]], axis=1) @ X0
+    xb, vbar = prod[:, -1] / md[:, None], np.vecdot(Vd, cd[:, None]) / md[:, None]
+    x_mean[dual], sol[dual] = mu + xb, np.swapaxes(prod[:, :cols], 1, 2)
+    rhs[dual] = prod[:, cols:-1] - vbar[:, :, None] * prod[:, -1:]
+    xx = np.vecdot(xb, xb)
+    zw = np.sqrt(np.maximum(np.vecdot(cd, Gb.diagonal()[:n]) - md * xx, 0.0))
+    bound = (zw[:, None] * np.sqrt(np.vecdot(cd[:, None], np.square(r[:, :, :n])))
+             + lam * np.abs(r[:, :, n]) * np.sqrt(xx)[:, None])
+    status[dual] = _check_solution(singular, bound * bound, rhs[dual])
+    return x_mean, rhs, sol, status
 
 
 @np.errstate(all="ignore")
 def _ridge_kernel(lam: float, X: np.ndarray, y: np.ndarray, c: np.ndarray,
                   below: np.ndarray | None = None) -> list[_Fits]:
     """Ridge fits of X (n, q) to y, (n,) or (k, n), under the resamples c:
-    ``[plain]``, or given each resample's group r1 ``below`` (k, n), ``[plain,
-    under both anchoring constraints]``. Up to STACK_MAX_P columns the k are
-    solved in one batch, above it each on its d drawn rows: the q x q primal
-    system when d >= q or lam = 0, else the (d + 1) x (d + 1) bordered dual
-    from the one Gram matrix of the call (:func:`_dual_solve`), a fit at
-    k = 1 with n < q included. The constrained fit moves the plain one along
-    w, the solution for the r1 indicator, until u'b = s (see
-    :func:`fit_constrained_linear`)."""
+    ``[plain]``, one right-hand side per system, or given each resample's
+    group r1 ``below`` (k, n), ``[plain, under both anchoring constraints]``,
+    with the r1 indicator as a second. Up to STACK_MAX_P columns the k are
+    solved in one batch, above it each by one LU factorisation on its drawn
+    rows (:func:`_wide_solve`, a fit at k = 1 with n < q included). The
+    constrained fit moves the plain one along w, the solution for the r1
+    indicator, until u'b = s (see :func:`fit_constrained_linear`)."""
     c, y = np.ascontiguousarray(c), np.ascontiguousarray(y)  # rows laid out alike for any k
     m = c.sum(axis=1)  # counts: exact in any order
     y_mean = (c * y).sum(axis=1) / m
     yc = y - y_mean[:, None]
     V = yc[:, None, :] if below is None else np.concatenate([yc[:, None, :], below[:, None, :]], 1)
-    if X.shape[1] <= STACK_MAX_P:
-        x_mean, rhs, sol, status = _normal_solve(lam, X, c, m, V)
-    else:
-        gram = functools.cache(lambda: _centred_gram(X))  # made for the first dual resample
-        x_mean, rhs, sol, status = map(np.concatenate, zip(*(
-            _dual_solve(lam, gram, d, cb[d], mb, vb[:, d]) if lam > 0 and d.size < X.shape[1]
-            else _normal_solve(lam, X[d], cb[None, d], mb[None], vb[None, :, d])
-            for cb, mb, vb in zip(c, m, V) for d in [np.flatnonzero(cb)])))
+    solve = _normal_solve if X.shape[1] <= STACK_MAX_P else _wide_solve
+    x_mean, rhs, sol, status = solve(lam, X, c, m, V)
     coef = sol[:, :, 0]
     fits = [_Fits(coef, y_mean - np.vecdot(x_mean, coef), status[:, 0])]
     if below is None:

@@ -110,6 +110,7 @@ def test_criterion_2_constraint_satisfaction_bulk():
     _report("2", f"{checked} fits within tolerance in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_3_table_band_n500(table_n500_run):
     """n=500, p=200, 100 replicates, T-learner: plain fits biased at least
     10% with coverage <= 0.2; anchored fits within 5% with coverage >= 0.6."""
@@ -143,6 +144,7 @@ def test_criterion_4_table_band_n1000():
                  f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_counterfactual_slope_restoration(table_n500_run):
     """The anchored run's out-of-distribution calibration slopes exceed the
     plain run's by at least 0.25 on both arms (same run as criterion 3)."""

@@ -534,6 +534,26 @@ class TestDiagnoseCommand:
         assert row["eta_hat"] == pytest.approx(1.0)
         assert row["rmse"] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_written_files_get_the_mode_open_gives(self, tmp_path, umask):
+        # the temporary file renamed over the target used to keep mode 0o600
+        f = tmp_path / "preds.csv"
+        f.write_text("y,y_hat\n1.0,0.5\n2.0,1.0\n3.0,1.5\n")
+        out, scat, kept = tmp_path / "r.json", tmp_path / "s.csv", tmp_path / "kept.json"
+        kept.write_text("{}")
+        kept.chmod(0o640)
+        args = ["diagnose", "--pred-file", str(f), "--scatter-out", str(scat), "--out"]
+        for path in (out, kept):
+            r = subprocess.run([sys.executable, "-m", "umlr", *args, str(path)],
+                               capture_output=True, text=True, umask=umask)
+            assert r.returncode == 0, r.stderr
+        plain = subprocess.run([sys.executable, "-c", f"open({str(tmp_path / 'p')!r}, 'w')"],
+                               umask=umask)
+        assert plain.returncode == 0
+        mode = (tmp_path / "p").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask
+        assert [p.stat().st_mode & 0o777 for p in (out, scat, kept)] == [mode, mode, 0o640]
+
     def test_scatter_export(self, tmp_path):
         f = tmp_path / "preds.csv"
         f.write_text("y,y_hat\n1.0,0.5\n2.0,1.0\n3.0,1.5\n")

@@ -122,6 +122,18 @@ class TestCounterfactualSlopes:
         assert s.eta_1_0 == pytest.approx(0.5, abs=1e-9)
         assert s.eta_0_0 == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", ["long", "short", "nan", "column"])
+    def test_reference_must_be_finite_with_one_entry_per_unit(self, bad):
+        # indexing truncated a long reference, a short one raised IndexError
+        # and a NaN gave NaN slopes
+        data, mu0, mu1 = self._make(n=60, seed=3)
+        ref = {"long": np.append(mu1, 0.0), "short": mu1[:-1], "column": mu1[:, None],
+               "nan": np.where(np.arange(60) == 7, np.nan, mu1)}[bad]
+        m = self._VectorModel(lambda X: X[:, 0])
+        for refs in ((mu0, ref), (ref, mu1)):
+            with pytest.raises(InvalidInputError):
+                counterfactual_slopes(data, *refs, m, m)
+
     def test_missing_oracle_rejected(self):
         data, mu0, mu1 = self._make(seed=2)
         m = self._VectorModel(lambda X: X[:, 0])

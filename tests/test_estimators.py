@@ -782,6 +782,77 @@ class TestStackedBootstrap:
             assert all(count > 0 for count in counts)
 
 
+class TestAnchoredCountsMemo:
+    """The anchored route reads only the plain fits, so a counts memo serving
+    it solves one right-hand side per system; its wide cells must still be
+    evaluated as TestStackedBootstrap requires of every cell."""
+
+    S = TestStackedBootstrap
+    # the design of acceptance criteria 3 and 10, and of the ridge benchmark
+    TABLE = DgpConfig(n=500, p=200, s=10, mu1=6.0, mu0=0.0, gamma_scale=0.3,
+                      sigma=2.0, seed=20250808)
+
+    @staticmethod
+    def t_cells(learner, route):
+        return [(ESTIMATORS["t_learner"], EstimatorSpec(learner, mode, route))
+                for mode in ("mlr", "umlr")]
+
+    def test_wide_points_do_not_depend_on_the_chunk_size_and_match_their_own_fits(
+            self, monkeypatch):
+        S = self.S
+        wide = S().cells("anchored", wide=True)
+        cases = [  # with propensity fits, whose stacked arrays are wide, and without
+            (generate_replicate(S.WIDE, 0).data, wide, 60),
+            (generate_replicate(S.WIDE, 1).data, wide[:4], 60),
+            (generate_replicate(self.TABLE, 0).data,
+             self.t_cells(LearnerConfig(kind="ridge", lam=250.0), "anchored"), 30)]
+        for data, cells, B in cases:
+            runs = []
+            for budget in (1, 10**9):  # one resample per chunk; all B in one
+                monkeypatch.setattr(estimators, "STACK_CELLS", budget)
+                runs.append(S.redone(monkeypatch, data, cells, B, 0))
+            assert runs[0] == runs[1]
+            (points, failures), redone = runs[0]
+            assert redone == []
+            ref_points, ref_failures = S.one_by_one(monkeypatch, data, cells, B, 0)
+            assert failures == ref_failures == [Counter()] * len(cells)
+            for got, ref in zip(points, ref_points):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_anchored_systems_have_one_column_and_other_routes_keep_theirs(
+            self, monkeypatch, wide):
+        S = self.S
+        data = generate_replicate(S.WIDE if wide else S.NULL, 0).data
+        learner = S.WIDE_LEARNER if wide else S.LEARNER
+        kernel, solve = estimators._ridge_kernel, learners._solve
+        calls, columns = [], []
+
+        def traced_kernel(lam, X, y, c, below=None):
+            calls.append(below is not None)
+            return kernel(lam, X, y, c, below)
+
+        def run(*routes):
+            calls.clear()
+            columns.clear()
+            cells = [cell for route in routes for cell in self.t_cells(learner, route)]
+            return resampled_points(data, cells, 60, 0)
+
+        monkeypatch.setattr(estimators, "STACK_CELLS", 10**9)  # one chunk: one call per arm
+        monkeypatch.setattr(estimators, "_ridge_kernel", traced_kernel)
+        monkeypatch.setattr(learners, "_solve",
+                            lambda A, B: columns.append(B.shape[-1]) or solve(A, B))
+        anchored = run("anchored")
+        assert calls == [False, False] and columns and set(columns) == {1}
+        auto = run("auto")
+        assert calls == [True, True]  # both modes read one call per arm
+        alone = run("constrained")
+        assert alone == auto  # "auto" is the constrained route for ridge
+        mixed = run("anchored", "constrained")
+        assert sorted(calls) == [False, False, True, True]
+        assert mixed == tuple(a + c for a, c in zip(anchored, alone))
+
+
 class TestKernelStatus:
     """Each count kernel reports per resample the error class that its
     single-dataset fit raises: the public fit at k = 1 raises C, and the
